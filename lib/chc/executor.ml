@@ -155,14 +155,16 @@ let run_graded ?trace spec =
     List.filter_map (fun i -> result.Cc.outputs.(i)) graded
   in
   let terminated = List.length ff_outputs = List.length graded in
+  (* processes that agree decide equal polytopes: grade each once *)
+  let distinct_outputs = Polytope.distinct ff_outputs in
   let valid =
     grade "validity" @@ fun () ->
-    List.for_all (fun h -> Polytope.subset h correct_hull) ff_outputs
+    List.for_all (fun h -> Polytope.subset h correct_hull) distinct_outputs
   in
   let all_hull = Polytope.of_points ~dim:config.Config.d (Array.to_list inputs) in
   let valid_all_inputs =
     grade "validity" @@ fun () ->
-    List.for_all (fun h -> Polytope.subset h all_hull) ff_outputs
+    List.for_all (fun h -> Polytope.subset h all_hull) distinct_outputs
   in
   let agreement2 =
     grade "agreement" @@ fun () ->
@@ -178,7 +180,7 @@ let run_graded ?trace spec =
     in
     match ff_outputs with
     | [] | [_] -> None
-    | _ -> Some (pairs Q.zero ff_outputs)
+    | _ -> Some (pairs Q.zero distinct_outputs)
   in
   let agreement_ok =
     match agreement2 with
@@ -197,7 +199,7 @@ let run_graded ?trace spec =
          match Polytope.volume h with
          | Some v -> min_opt acc v
          | None -> acc)
-      None ff_outputs
+      None distinct_outputs
   in
   let iz_volume =
     grade "volume" @@ fun () -> Option.bind iz Polytope.volume

@@ -260,8 +260,9 @@ and try_advance t =
           let polys = List.map snd y in
           (* Per-round grid lifecycle: every hull construction in
              this round's average shares one denominator grid. The
-             build is deferred — rounds fully served by the memo
-             tables never pay for the lcm scan. *)
+             build is deferred — rounds whose inputs all agree (the
+             L operator merges them into one term) or that the memo
+             tables fully serve never pay for the lcm scan. *)
           Numeric.Grid.with_round
             (fun () ->
                Numeric.Grid.make_scaled ~mult:(List.length polys)

@@ -41,12 +41,11 @@ let contained_in_all_rounds ~config ~faulty ~result =
   match compute ~config ~faulty ~result with
   | None -> false
   | Some iz ->
-    let ok = ref true in
-    Array.iteri
-      (fun i hist ->
-         if not (List.mem i faulty) then
-           List.iter
-             (fun (_t, h) -> if not (Polytope.subset iz h) then ok := false)
-             hist)
-      result.Cc.history;
-    !ok
+    (* once the processes agree, round after round repeats one
+       polytope: check each distinct one once *)
+    result.Cc.history
+    |> Array.to_list
+    |> List.mapi (fun i hist -> if List.mem i faulty then [] else List.map snd hist)
+    |> List.concat
+    |> Polytope.distinct
+    |> List.for_all (Polytope.subset iz)

@@ -86,9 +86,20 @@ let dim p = p.dim
 let is_point p = match p.verts with [_] -> true | _ -> false
 
 let equal p q =
-  p.dim = q.dim
-  && List.length p.verts = List.length q.verts
-  && List.for_all2 Vec.equal p.verts q.verts
+  p == q
+  || (p.dim = q.dim
+      && List.compare_lengths p.verts q.verts = 0
+      && List.for_all2 Vec.equal p.verts q.verts)
+
+(* First occurrences, in order. Callers pass a round's n inputs or a
+   run's n·t_end history entries, and unequal polytopes usually differ
+   at the first vertex, so the quadratic scan costs less than hashing
+   every vertex. *)
+let distinct polys =
+  List.rev
+    (List.fold_left
+       (fun acc p -> if List.exists (equal p) acc then acc else p :: acc)
+       [] polys)
 
 let contains p x =
   match p.dim with
@@ -103,20 +114,22 @@ let contains p x =
 
 let subset p q =
   if p.dim <> q.dim then invalid_arg "Polytope.subset: dimension mismatch"
+  else if p.dim >= 3 then
+    (* One H-representation of [q] answers every vertex of [p] with
+       exact sign tests, where [contains] would run one LP per vertex *)
+    let h = Hullnd.of_points ~dim:q.dim q.verts in
+    List.for_all (Hullnd.mem_hrep h) p.verts
   else List.for_all (contains q) p.verts
 
 (* ------------------------------------------------------------------ *)
 (* The paper's L operator: weighted Minkowski sum. *)
 
+(* Scaling by c > 0 is a similarity: it preserves extremeness, the
+   lexicographic vertex order and (d = 2) the counter-clockwise turn,
+   so every canonical form maps through directly — no hull recompute. *)
 let scale_poly c p =
-  if Q.is_zero c then { dim = p.dim; verts = [Vec.zero p.dim] }
-  else if p.dim >= 3 then
-    (* Positive scaling preserves extremeness and (uniform per
-       coordinate) the lexicographic vertex order, so the canonical
-       V-representation maps through directly — no hull recompute. *)
-    { dim = p.dim; verts = List.map (Vec.scale c) p.verts }
-  else
-    { dim = p.dim; verts = canonicalize ~dim:p.dim (List.map (Vec.scale c) p.verts) }
+  if Q.equal c Q.one then p
+  else { dim = p.dim; verts = List.map (Vec.scale c) p.verts }
 
 let minkowski_pair a b =
   match a.dim with
@@ -143,6 +156,33 @@ let minkowski_pair a b =
     in
     { dim = d; verts }
 
+(* Terms are merged before any geometry runs. For a convex P and
+   a, b >= 0, aP ⊕ bP = (a+b)P, so terms with equal polytopes collapse
+   into one carrying the summed weight, and zero-weight terms ({0}, the
+   identity of ⊕) drop out. Once the processes' estimates coincide, a
+   round whose inputs all agree reduces to one term of weight 1 and
+   runs no scaling, hull or Minkowski pass. The value is the same set
+   either way, and canonical forms are unique per set, so merging
+   never changes a transcript. *)
+let merge_terms terms =
+  let rec add c p = function
+    | [] -> [ (c, p) ]
+    | (c', p') :: rest when equal p p' -> (Q.add c c', p') :: rest
+    | t :: rest -> t :: add c p rest
+  in
+  List.fold_left
+    (fun acc (c, p) -> if Q.is_zero c then acc else add c p acc)
+    [] terms
+
+let lop_merged_c =
+  Obs.Metrics.counter "chc_lop_total"
+    ~help:"L-operator evaluations, by whether merging equal polytopes left \
+           one term (no geometry) or several (a Minkowski sum)"
+    ~labels:[ ("result", "merged") ]
+
+let lop_minkowski_c =
+  Obs.Metrics.counter "chc_lop_total" ~labels:[ ("result", "minkowski") ]
+
 let linear_combination terms =
   match terms with
   | [] -> invalid_arg "Polytope.linear_combination: empty"
@@ -158,18 +198,25 @@ let linear_combination terms =
     let total = Numeric.Q.sum (List.map fst terms) in
     if not (Q.equal total Q.one) then
       invalid_arg "Polytope.linear_combination: weights must sum to 1";
-    let scaled = List.map (fun (c, p) -> scale_poly c p) terms in
-    (* Standalone combinations share a grid across the Minkowski
-       chain: every partial sum's denominators divide the lcm of the
-       scaled vertices'. Under the executor this is a no-op — the
-       round grid is already installed. *)
-    Numeric.Grid.ensure_round
-      (fun () ->
-         Numeric.Grid.make (List.concat_map (fun p -> p.verts) scaled))
-      (fun () ->
-         match scaled with
-         | [] -> assert false
-         | first :: rest -> List.fold_left minkowski_pair first rest)
+    match merge_terms terms with
+    | [ (_, p) ] ->
+      (* the merged weight is the whole sum, 1: L is the identity *)
+      Obs.Metrics.incr lop_merged_c;
+      p
+    | merged ->
+      Obs.Metrics.incr lop_minkowski_c;
+      let scaled = List.map (fun (c, p) -> scale_poly c p) merged in
+      (* Standalone combinations share a grid across the Minkowski
+         chain: every partial sum's denominators divide the lcm of the
+         scaled vertices'. Under the executor this is a no-op — the
+         round grid is already installed. *)
+      Numeric.Grid.ensure_round
+        (fun () ->
+           Numeric.Grid.make (List.concat_map (fun p -> p.verts) scaled))
+        (fun () ->
+           match scaled with
+           | [] -> assert false
+           | first :: rest -> List.fold_left minkowski_pair first rest)
 
 let average polys =
   match polys with
@@ -207,7 +254,13 @@ let intersect polys =
       (fun p -> if p.dim <> d then
           invalid_arg "Polytope.intersect: dimension mismatch")
       rest;
-    (match d with
+    (* P ∩ P = P: round 0's subset hulls coincide whenever the dropped
+       points lie inside the rest, and the copies cost nothing to drop *)
+    (match distinct polys with
+     | [] -> assert false
+     | [ p ] -> Some p
+     | first :: rest as polys ->
+     match d with
      | 1 -> intersect_1d polys
      | 2 ->
        let result =
@@ -286,6 +339,7 @@ let hausdorff_memo : (int * Vec.t list * Vec.t list, Q.t) Parallel.Memo.t =
 
 let hausdorff2 p q =
   if p.dim <> q.dim then invalid_arg "Polytope.hausdorff2: dimension mismatch"
+  else if equal p q then Q.zero
   else begin
     let eval () = Distance.hausdorff2 ~dim:p.dim p.verts q.verts in
     if p.dim >= 3 && Poly_engine.incremental () then

@@ -42,12 +42,21 @@ val subset : t -> t -> bool
 
 val is_point : t -> bool
 
+val distinct : t list -> t list
+(** The first occurrence of each polytope, in order. *)
+
 (** {1 The paper's operators} *)
 
 val linear_combination : (Q.t * t) list -> t
 (** The paper's function [L]: the set
     [{Σ ci·pi | pi ∈ hi}] for weights [ci ≥ 0, Σci = 1] — equivalently
     the Minkowski sum of the scaled polytopes.
+
+    Terms with equal polytopes are merged first ([aP ⊕ bP = (a+b)P]
+    for convex [P]) and zero-weight terms are dropped, so when every
+    polytope is the same [p] the result is [p] itself, computed
+    without any geometry. [chc_lop_total{result="merged"}] counts how
+    often that happens.
     @raise Invalid_argument if weights are negative or do not sum
     to 1, or on the empty list. *)
 
@@ -57,13 +66,15 @@ val average : t list -> t
 
 val intersect : t list -> t option
 (** Intersection of a non-empty list of polytopes; [None] when empty.
+    Repeated polytopes are dropped first.
     This implements line 5 of Algorithm CC (jointly with
     {!Numeric.Combin.subsets_of_size}). *)
 
 (** {1 Measures} *)
 
 val hausdorff2 : t -> t -> Q.t
-(** Exact squared Hausdorff distance. *)
+(** Exact squared Hausdorff distance; zero for equal polytopes without
+    evaluating it. *)
 
 val hausdorff : t -> t -> float
 

@@ -117,25 +117,26 @@ let grade o =
       Polytope.of_points ~dim:config.Config.d
         (List.map (fun i -> o.job.inputs.(i)) graded)
     in
-    match
-      List.find_opt (fun (_, h) -> not (Polytope.subset h hull)) o.outputs
-    with
-    | Some (i, _) ->
+    (* processes that agree decide equal polytopes: grade each once *)
+    let distinct = Polytope.distinct (List.map snd o.outputs) in
+    match List.find_opt (fun h -> not (Polytope.subset h hull)) distinct with
+    | Some bad ->
+      let i, _ = List.find (fun (_, h) -> Polytope.equal h bad) o.outputs in
       Error
         (Printf.sprintf "validity: process %d decided outside the correct hull"
            i)
     | None ->
       let rec pairs acc = function
         | [] -> acc
-        | (_, h) :: rest ->
+        | h :: rest ->
           let acc =
             List.fold_left
-              (fun acc (_, h') -> Q.max acc (Polytope.hausdorff2 h h'))
+              (fun acc h' -> Q.max acc (Polytope.hausdorff2 h h'))
               acc rest
           in
           pairs acc rest
       in
-      let a2 = pairs Q.zero o.outputs in
+      let a2 = pairs Q.zero distinct in
       if Q.lt a2 (Q.square config.Config.eps) || List.length o.outputs < 2
       then Ok ()
       else Error "agreement: pairwise Hausdorff distance at or above eps"

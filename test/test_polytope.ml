@@ -67,6 +67,77 @@ let test_steiner_inside () =
   Alcotest.(check bool) "1d midpoint" true
     (Vec.equal (P.steiner_point seg) (Vec.of_ints [2]))
 
+(* --- the L operator merges equal terms -------------------------------- *)
+
+let counter metric labels =
+  List.fold_left
+    (fun acc s ->
+       match s with
+       | { Obs.Metrics.metric = m; labels = l; value = Obs.Metrics.Counter v }
+         when m = metric && l = labels -> acc + v
+       | _ -> acc)
+    0 (Obs.Metrics.snapshot_all ())
+
+let lop result = counter "chc_lop_total" [ ("result", result) ]
+
+let cube3 =
+  P.of_points ~dim:3
+    (List.concat_map
+       (fun x ->
+          List.concat_map
+            (fun y -> List.map (fun z -> Vec.of_ints [ x; y; z ]) [ 0; 2 ])
+            [ 0; 2 ])
+       [ 0; 2 ])
+
+(* Inputs that agree are answered with the input itself: no scaling,
+   no hull, no Minkowski pass, and no round grid — its build thunk is
+   never forced. Caches are bypassed so a hit cannot stand in for the
+   skipped work. *)
+let test_agreeing_round_no_geometry () =
+  let merged0 = lop "merged" and sums0 = lop "minkowski" in
+  let h =
+    Parallel.Memo.with_bypass (fun () ->
+        Numeric.Grid.with_round
+          (fun () -> Alcotest.fail "an agreeing round built a grid")
+          (fun () -> P.average [ cube3; cube3; cube3; cube3; cube3 ]))
+  in
+  Alcotest.(check bool) "the input itself comes back" true (h == cube3);
+  Alcotest.(check int) "counted as merged" (merged0 + 1) (lop "merged");
+  Alcotest.(check int) "no Minkowski sum" sums0 (lop "minkowski")
+
+let test_merge_counters () =
+  let merged0 = lop "merged" and sums0 = lop "minkowski" in
+  let p = square 0 2 and q = square 1 3 in
+  let r =
+    P.linear_combination
+      [ (Q.of_ints 1 4, p); (Q.zero, q); (Q.of_ints 1 4, q); (Q.half, p) ]
+  in
+  Alcotest.check pt "3/4 p + 1/4 q" (P.linear_combination
+                                        [ (Q.of_ints 3 4, p); (Q.of_ints 1 4, q) ])
+    r;
+  Alcotest.(check int) "two Minkowski sums" (sums0 + 2) (lop "minkowski");
+  (* a zero weight drops its term, leaving one *)
+  Alcotest.check pt "1 p + 0 q" p (P.linear_combination [ (Q.one, p); (Q.zero, q) ]);
+  Alcotest.(check int) "merged to one term" (merged0 + 1) (lop "merged")
+
+(* In this crash-free FIFO run every process ends round 0 with the same
+   view, so every L evaluation from round 1 on merges to one term; each
+   of the n processes evaluates L once in each of its t_end rounds. *)
+let test_fifo_execution_merges () =
+  let config =
+    Chc.Config.make ~n:5 ~f:1 ~d:2 ~eps:(Q.of_ints 1 10) ~lo:Q.zero ~hi:Q.one
+  in
+  let spec =
+    Chc.Executor.default_spec ~config ~seed:3 ~faulty:[]
+      ~scheduler:Runtime.Scheduler.fifo ()
+  in
+  let merged0 = lop "merged" and sums0 = lop "minkowski" in
+  let r = Chc.Executor.run spec in
+  let t_end = r.Chc.Executor.result.Chc.Cc.t_end in
+  Alcotest.(check bool) "agreement" true r.Chc.Executor.agreement_ok;
+  Alcotest.(check int) "every round merged" (5 * t_end) (lop "merged" - merged0);
+  Alcotest.(check int) "no Minkowski sum" 0 (lop "minkowski" - sums0)
+
 (* --- properties ------------------------------------------------------ *)
 
 let arb_poly dim =
@@ -75,6 +146,73 @@ let arb_poly dim =
     (QCheck.Gen.map
        (fun pts -> P.of_points ~dim pts)
        (Gen.gen_points ~min_size:1 ~max_size:7 dim))
+
+(* The L operator without merging, from hulls alone: fold the terms
+   left to right, each Minkowski step the hull of all pairwise vertex
+   sums. *)
+let lincomb_oracle ~dim terms =
+  match List.map (fun (c, p) -> List.map (Vec.scale c) (P.vertices p)) terms with
+  | [] -> assert false
+  | first :: rest ->
+    List.fold_left
+      (fun acc vs ->
+         P.of_points ~dim
+           (List.concat_map (fun u -> List.map (Vec.add u) vs) (P.vertices acc)))
+      (P.of_points ~dim first) rest
+
+(* A few distinct polytopes, repeated: 2-5 terms drawn from 1-3
+   polytopes with small integer weights (zero allowed), normalized to
+   sum to 1. *)
+let arb_repeated_terms ~dim ~max_size =
+  let open QCheck.Gen in
+  let gen =
+    let* k = 1 -- 3 in
+    let* polys =
+      list_size (return k)
+        (map (P.of_points ~dim) (Gen.gen_points ~min_size:1 ~max_size dim))
+    in
+    let* m = 2 -- 5 in
+    let* picks = list_size (return m) (0 -- (k - 1)) in
+    let* weights = list_size (return m) (0 -- 3) in
+    let weights = if List.for_all (( = ) 0) weights then 1 :: List.tl weights else weights in
+    let total = List.fold_left ( + ) 0 weights in
+    return
+      (List.map2
+         (fun i w -> (Q.of_ints w total, List.nth polys i))
+         picks weights)
+  in
+  QCheck.make
+    ~print:(fun terms ->
+        String.concat " + "
+          (List.map (fun (c, p) -> Q.to_string c ^ "*" ^ P.to_string p) terms))
+    gen
+
+let merge_props =
+  List.map
+    (fun (dim, max_size, count) ->
+       Gen.prop ~count
+         (Printf.sprintf "L with repeated terms = unmerged oracle (d=%d)" dim)
+         (arb_repeated_terms ~dim ~max_size)
+         (fun terms ->
+            P.equal (P.linear_combination terms) (lincomb_oracle ~dim terms)))
+    [ (1, 4, 200); (2, 5, 200); (3, 4, 40) ]
+  @ [ Gen.prop ~count:100 "3d subset = per-vertex LP membership"
+        (QCheck.pair (arb_poly 3) (arb_poly 3))
+        (fun (p, q) ->
+           (* small point sets are often flat: the H-representation then
+              carries affine-hull equalities *)
+           let lp a b = List.for_all (P.contains b) (P.vertices a) in
+           let hull_pq = P.of_points ~dim:3 (P.vertices p @ P.vertices q) in
+           P.subset p q = lp p q
+           && P.subset p hull_pq && lp p hull_pq
+           && P.subset q hull_pq
+           && P.subset hull_pq q = lp hull_pq q);
+      Gen.prop "intersect ignores repeated polytopes"
+        (QCheck.pair (arb_poly 2) (arb_poly 2))
+        (fun (p, q) ->
+           Option.equal P.equal (P.intersect [ p; q; p; q ]) (P.intersect [ p; q ]));
+      Gen.prop "intersect of copies is the polytope" (arb_poly 2)
+        (fun p -> Option.equal P.equal (P.intersect [ p; p ]) (Some p)) ]
 
 let props =
   [ Gen.prop "average of two copies is identity" (arb_poly 2)
@@ -149,5 +287,10 @@ let suite =
         Alcotest.test_case "volume" `Quick test_volume;
         Alcotest.test_case "intersect empty/touching" `Quick test_intersect_empty;
         Alcotest.test_case "support" `Quick test_support;
-        Alcotest.test_case "steiner" `Quick test_steiner_inside ]
-      @ List.map Gen.qtest props ) ]
+        Alcotest.test_case "steiner" `Quick test_steiner_inside;
+        Alcotest.test_case "agreeing round does no geometry" `Quick
+          test_agreeing_round_no_geometry;
+        Alcotest.test_case "merge counters" `Quick test_merge_counters;
+        Alcotest.test_case "FIFO execution merges every round" `Quick
+          test_fifo_execution_merges ]
+      @ List.map Gen.qtest (props @ merge_props) ) ]

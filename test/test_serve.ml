@@ -156,6 +156,38 @@ let server_drain_and_grade () =
    | exception Invalid_argument _ -> ());
   ignore (Server.drain server)
 
+(* Grading looks at each distinct decision once, yet a validity failure
+   still names the first offending process, and agreement still spans
+   every pair of distinct decisions. *)
+let grade_distinct_decisions () =
+  let server = Server.create ~shards:1 ~fuel:16 () in
+  let shape = { Workload.n = 4; f = 1; d = 1; recover = false } in
+  Server.submit server (job shape ~id:0 ~seed:402);
+  let o =
+    match Server.drain server with
+    | [ o ] -> o
+    | _ -> Alcotest.fail "expected one outcome"
+  in
+  let decide f =
+    { o with Server.outputs = List.map (fun (i, h) -> (i, f i h)) o.Server.outputs }
+  in
+  let far = Polytope.singleton (Vec.of_ints [ 5 ]) in
+  (match Server.grade (decide (fun i h -> if i >= 2 then far else h)) with
+   | Error msg ->
+     Alcotest.(check string) "first offender"
+       "validity: process 2 decided outside the correct hull" msg
+   | Ok () -> Alcotest.fail "decision outside the hull graded Ok");
+  let lo, hi =
+    (Polytope.bounding_box
+       (Polytope.of_points ~dim:1 (Array.to_list o.Server.job.Server.inputs))).(0)
+  in
+  let at x = Polytope.singleton (Vec.make [ x ]) in
+  match Server.grade (decide (fun i _ -> if i = 0 then at lo else at hi)) with
+  | Error msg ->
+    Alcotest.(check bool) "agreement violated" true
+      (String.starts_with ~prefix:"agreement" msg)
+  | Ok () -> Alcotest.fail "decisions at opposite input extremes graded Ok"
+
 let rm_rf dir =
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
@@ -448,4 +480,6 @@ let suite =
         Alcotest.test_case "admin endpoints over a socket" `Slow
           admin_over_socket;
         Alcotest.test_case "healthz degradation on violation" `Quick
-          healthz_degradation ] ) ]
+          healthz_degradation;
+        Alcotest.test_case "grade checks distinct decisions" `Quick
+          grade_distinct_decisions ] ) ]
