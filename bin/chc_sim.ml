@@ -399,7 +399,9 @@ let differential_arg =
                  both polytope engines — rebuild as the oracle vs \
                  incremental with a fresh engine handle — and flag \
                  any divergence in the decided polytopes as a shrinkable \
-                 counterexample.")
+                 counterexample; likewise any graded process whose \
+                 round-0 polytope differs from the subset-hull oracle \
+                 on its recorded view.")
 
 let naive_space_arg =
   Arg.(value & flag
@@ -444,7 +446,8 @@ let fuzz_cmd kernel poly differential trials seed time_budget out_dir
   | Ok oracle ->
     Printf.printf "fuzz: %d trials, seed %d, oracle %s%s%s\n%!" trials seed
       (Fuzz.Oracle.name oracle)
-      (if differential then " + kernel-equivalence + engine-equivalence"
+      (if differential then
+         " + kernel-equivalence + engine-equivalence + round0-equivalence"
        else "")
       (match time_budget with
        | None -> ""

@@ -189,8 +189,7 @@ let run_graded ?trace spec =
   in
   let iz = grade "iz" @@ fun () -> Iz.compute ~config ~faulty ~result in
   let optimal =
-    grade "iz" @@ fun () ->
-    Iz.contained_in_all_rounds ~config ~faulty ~result
+    grade "iz" @@ fun () -> Iz.contained_in_all_rounds ~iz ~faulty ~result
   in
   let min_output_volume =
     grade "volume" @@ fun () ->
@@ -202,7 +201,10 @@ let run_graded ?trace spec =
       None distinct_outputs
   in
   let iz_volume =
-    grade "volume" @@ fun () -> Option.bind iz Polytope.volume
+    grade "volume" @@ fun () ->
+    match iz, distinct_outputs with
+    | Some z, [ h ] when Polytope.equal z h -> min_output_volume
+    | _ -> Option.bind iz Polytope.volume
   in
   { spec; result; faulty; recovered; decision_stable; correct_hull;
     terminated; valid; valid_all_inputs; agreement2; agreement_ok; iz;

@@ -1,4 +1,3 @@
-module Combin = Numeric.Combin
 module Wal = Runtime.Wal
 module SV = Protocol.Stable_vector
 module Rounds = Protocol.Rounds
@@ -44,18 +43,27 @@ let io ?(emit = fun _ -> ()) ?(on_wal = fun _ -> ()) ?(on_sync = fun () -> ())
     ~send ~broadcast ~sends () =
   { send; broadcast; sends; emit; on_wal; on_sync }
 
+(* h[0] by sorted view points. Keys are compared with [Vec.equal]
+   rather than hashed: [Q.t] carries a mutable residue cache, and an
+   execution holds at most n views. *)
+type round0_table = {
+  mutable views : (Geometry.Vec.t list * Geometry.Polytope.t) list;
+}
+
 type spec = {
   config : Config.t;
   round0 : round0_mode;
   wal : Wal.config option;
   t_end : int;
+  round0_table : round0_table;
 }
 
 (* Computing [t_end] walks the Ω²·(1-1/n)^2t contraction with exact
    rationals; the smart constructor does it once for all n instances
    of an execution. *)
 let spec ?(round0 = `Stable_vector) ?wal config =
-  { config; round0; wal; t_end = Bounds.t_end config }
+  { config; round0; wal; t_end = Bounds.t_end config;
+    round0_table = { views = [] } }
 
 type t = {
   id : int;
@@ -65,6 +73,7 @@ type t = {
   engine : Geometry.Poly_engine.handle;
   t_end : int;
   round0 : round0_mode;
+  table : round0_table;
   input : Geometry.Vec.t;
   wal : Recovery.event Wal.t option;
   mutable sv : Geometry.Vec.t SV.state option;
@@ -92,24 +101,19 @@ type t = {
    point, and |X_i| >= n - f >= (d+1)f + 1 by the resilience bound. *)
 let round0_polytope ~dim ~f pts =
   Obs.Prof.with_span "cc.round0" @@ fun () ->
-  let keep = List.length pts - f in
-  if keep < 1 then invalid_arg "Cc.round0_polytope: not enough points";
-  (* All C(|X_i|, f) subset hulls draw from the same input points, so
-     they share one denominator grid (lazily built on the first
-     construction that needs it; pool workers fall back to local
-     grids, which only costs the shared scan). *)
-  Numeric.Grid.with_round (fun () -> Numeric.Grid.make pts) @@ fun () ->
-  (* The C(|X_i|, f) per-subset hulls are independent; fan them out
-     over the domain pool (results merged in subset order, so the
-     intersection below sees a scheduling-independent list). *)
-  let hulls =
-    Parallel.Pool.parallel_map (Parallel.Pool.global ())
-      (Geometry.Polytope.of_points ~dim)
-      (Combin.subsets_of_size keep pts)
-  in
-  match Geometry.Polytope.intersect hulls with
+  match Geometry.Polytope.depth_region ~dim ~f pts with
   | Some h -> h
   | None -> failwith "Cc: round-0 intersection empty — Lemma 2 violated"
+
+let round0_computed_c =
+  Obs.Metrics.counter "chc_round0_total"
+    ~help:"Round-0 polytopes h[0], by whether the process computed it or \
+           took it from an earlier process of the same execution whose \
+           view holds the same points"
+    ~labels:[ ("result", "computed") ]
+
+let round0_shared_c =
+  Obs.Metrics.counter "chc_round0_total" ~labels:[ ("result", "shared") ]
 
 let create ?engine spec ~me ~input =
   let { Config.n; f; d; _ } = spec.config in
@@ -127,6 +131,7 @@ let create ?engine spec ~me ~input =
     engine;
     t_end = spec.t_end;
     round0 = spec.round0;
+    table = spec.round0_table;
     input;
     wal = Option.map Wal.create spec.wal;
     sv = None;
@@ -294,12 +299,34 @@ and try_advance t =
     else enter_round t (t.current + 1)
   end
 
+(* h[0] is a function of the view's point multiset, and processes
+   whose views agree (every process, in a crash-free run) get the
+   physically same polytope, so later rounds and grading compare them
+   by [==]. *)
+let round0_h t pts =
+  let key = List.sort Geometry.Vec.compare pts in
+  let same (k, _) =
+    List.compare_lengths k key = 0 && List.for_all2 Geometry.Vec.equal k key
+  in
+  match List.find_opt same t.table.views with
+  | Some (_, h0) ->
+    Obs.Metrics.incr round0_shared_c;
+    h0
+  | None ->
+    let h0 =
+      Geometry.Poly_engine.with_handle t.engine @@ fun () ->
+      round0_polytope ~dim:t.d ~f:t.f key
+    in
+    Obs.Metrics.incr round0_computed_c;
+    (* a process replaying a lossy WAL can finish round 0 again with a
+       new view; the table keeps the first n *)
+    if List.compare_length_with t.table.views t.n < 0 then
+      t.table.views <- (key, h0) :: t.table.views;
+    h0
+
 let complete_round0 t entries =
   t.view <- Some entries;
-  let h0 =
-    Geometry.Poly_engine.with_handle t.engine @@ fun () ->
-    round0_polytope ~dim:t.d ~f:t.f (List.map snd entries)
-  in
+  let h0 = round0_h t (List.map snd entries) in
   t.h <- Some h0;
   t.hist <- (0, h0) :: t.hist;
   if (not t.replaying) && t.max_emitted < 0 then begin

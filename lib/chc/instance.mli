@@ -86,6 +86,9 @@ val io :
   io
 (** Build an {!io}; the observer callbacks default to no-ops. *)
 
+type round0_table
+(** The execution's round-0 polytopes, one per distinct view. *)
+
 type spec = private {
   config : Config.t;
   round0 : round0_mode;
@@ -94,6 +97,12 @@ type spec = private {
           [None] keeps the WAL layer entirely out of the hot path.
           Must be [Some] for {!crash}/{!recover}/{!restore}. *)
   t_end : int;  (** [Bounds.t_end config], computed once for all [n] *)
+  round0_table : round0_table;
+      (** [h\[0\]] for each distinct view point multiset seen so far
+          (at most [n] entries): the first process to finish round 0
+          with a view computes it, and every later process with the
+          same points gets the physically same polytope, counted by
+          [chc_round0_total{result="computed"|"shared"}] *)
 }
 (** What all [n] instances of one execution share. (Deliberately not
     {!Scenario.t}: a scenario also fixes the transport-level crash
@@ -102,7 +111,9 @@ type spec = private {
 val spec :
   ?round0:round0_mode -> ?wal:Runtime.Wal.config -> Config.t -> spec
 (** Build a spec ([round0] defaults to [`Stable_vector], durability to
-    off), precomputing the round bound. *)
+    off), precomputing the round bound, with an empty round-0
+    table. Build one per execution: the table is mutable and must not
+    be shared across domains. *)
 
 type t
 
@@ -187,7 +198,8 @@ val wal_entries : t -> Recovery.event list
 val round0_polytope :
   dim:int -> f:int -> Geometry.Vec.t list -> Geometry.Polytope.t
 (** Line 5 of Algorithm CC on an explicit input multiset:
-    [∩_{C ⊆ X, |C| = |X|-f} H(C)]. Non-empty whenever
-    [|X| >= (d+1)f + 1] (Lemma 2, via Tverberg's theorem).
+    [∩_{C ⊆ X, |C| = |X|-f} H(C)], by {!Geometry.Polytope.depth_region}.
+    Non-empty whenever [|X| >= (d+1)f + 1] (Lemma 2, via Tverberg's
+    theorem).
     @raise Failure if the intersection is empty (fewer points than the
     Tverberg guarantee requires). *)

@@ -1,5 +1,4 @@
 module Q = Numeric.Q
-module Combin = Numeric.Combin
 module Polytope = Geometry.Polytope
 
 let stable_views ~faulty ~(result : Cc.result) =
@@ -12,6 +11,8 @@ let stable_views ~faulty ~(result : Cc.result) =
       | None ->
         invalid_arg
           (Printf.sprintf "Iz.compute: fault-free process %d has no view" i))
+
+let sorted_points view = List.sort Geometry.Vec.compare (List.map snd view)
 
 let compute ~config ~faulty ~result =
   let views = stable_views ~faulty ~result in
@@ -28,17 +29,30 @@ let compute ~config ~faulty ~result =
     in
     let x_z = List.map snd z in
     let { Config.d; f; _ } = config in
-    let keep = List.length x_z - f in
-    if keep < 1 then None
+    if List.length x_z <= f then None
     else begin
-      let hulls =
-        List.map (Polytope.of_points ~dim:d) (Combin.subsets_of_size keep x_z)
+      (* I_Z is line 5 of Algorithm CC on X_Z: a fault-free process
+         whose view holds X_Z's points (under stable vector, the
+         process with the smallest view) already computed it as h[0] *)
+      let key = sorted_points z in
+      let n = Array.length result.Cc.round0_views in
+      let computed =
+        List.init n Fun.id
+        |> List.find_map (fun i ->
+            match result.Cc.round0_views.(i) with
+            | Some view
+              when (not (List.mem i faulty))
+                   && List.equal Geometry.Vec.equal (sorted_points view) key ->
+              List.assoc_opt 0 result.Cc.history.(i)
+            | _ -> None)
       in
-      Polytope.intersect hulls
+      match computed with
+      | Some h0 -> Some h0
+      | None -> Polytope.depth_region ~dim:d ~f x_z
     end
 
-let contained_in_all_rounds ~config ~faulty ~result =
-  match compute ~config ~faulty ~result with
+let contained_in_all_rounds ~iz ~faulty ~result =
+  match iz with
   | None -> false
   | Some iz ->
     (* once the processes agree, round after round repeats one

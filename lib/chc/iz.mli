@@ -25,16 +25,19 @@ val compute :
   result:Cc.result ->
   Geometry.Polytope.t option
 (** [I_Z] of an execution; [None] when the witness degenerates to the
-    empty set (possible only without stable vector). Requires every
+    empty set (possible only without stable vector). It is the
+    recorded [h\[0\]] of a fault-free process whose view holds the
+    same point multiset as [X_Z], and otherwise
+    {!Geometry.Polytope.depth_region} of [X_Z]. Requires every
     fault-free process to have a round-0 view (true whenever the run
     completed). @raise Invalid_argument if a fault-free view is
     missing. *)
 
 val contained_in_all_rounds :
-  config:Config.t ->
+  iz:Geometry.Polytope.t option ->
   faulty:int list ->
   result:Cc.result ->
   bool
-(** The Lemma 6 check: [I_Z] exists and [I_Z ⊆ h_i[t]] for every
-    fault-free process [i] and every recorded round [t] (round 0
-    included). Exact. *)
+(** The Lemma 6 check on the [I_Z] that {!compute} returned: [I_Z]
+    exists and [I_Z ⊆ h_i[t]] for every fault-free process [i] and
+    every recorded round [t] (round 0 included). Exact. *)

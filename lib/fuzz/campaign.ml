@@ -31,9 +31,14 @@ let default_log _ = ()
    failures come back. The scenario's kernel is pinned to the ambient
    mode, so saved artifacts replay under the kernel that graded them.
    With [differential], a trial that passes the primary oracle is then
-   re-run filtered-vs-exact and incremental-vs-rebuild; a divergence
-   comes back as a finding carrying the kernel- or engine-equivalence
+   re-run filtered-vs-exact and incremental-vs-rebuild, and its round-0
+   polytopes are rebuilt from subset hulls; a divergence comes back as
+   a finding carrying the kernel-, engine- or round0-equivalence
    oracle, and shrinks against it. *)
+let differential_oracles =
+  [ Oracle.Kernel_equivalence; Oracle.Engine_equivalence;
+    Oracle.Round0_equivalence ]
+
 let run_trial ~space ~oracle ~differential ~seed trial =
   let scenario = Gen.scenario space ~seed ~trial in
   let scenario =
@@ -43,15 +48,13 @@ let run_trial ~space ~oracle ~differential ~seed trial =
   | Oracle.Fail msg -> Some (trial, scenario, msg, oracle)
   | Oracle.Pass ->
     if not differential then None
-    else begin
-      match Oracle.check Oracle.Kernel_equivalence scenario with
-      | Oracle.Fail msg -> Some (trial, scenario, msg, Oracle.Kernel_equivalence)
-      | Oracle.Pass ->
-        (match Oracle.check Oracle.Engine_equivalence scenario with
-         | Oracle.Pass -> None
-         | Oracle.Fail msg ->
-           Some (trial, scenario, msg, Oracle.Engine_equivalence))
-    end
+    else
+      List.find_map
+        (fun o ->
+           match Oracle.check o scenario with
+           | Oracle.Pass -> None
+           | Oracle.Fail msg -> Some (trial, scenario, msg, o))
+        differential_oracles
 
 let investigate ~out_dir ~log (trial, scenario, msg, oracle) =
   log (Printf.sprintf "trial %d FAILED: %s" trial msg);

@@ -49,5 +49,6 @@ val run :
     dropped and the campaign stops. [log] receives one-line progress
     messages (default: silent). [differential] (default [false])
     additionally grades every trial that passes the primary oracle
-    with {!Oracle.Kernel_equivalence}; divergences are shrunk and
-    saved like any other finding, with that oracle in the artifact. *)
+    with {!Oracle.Kernel_equivalence}, {!Oracle.Engine_equivalence}
+    and {!Oracle.Round0_equivalence}; divergences are shrunk and saved
+    like any other finding, with that oracle in the artifact. *)

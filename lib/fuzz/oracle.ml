@@ -6,6 +6,7 @@ type t =
   | Agreement_within of Q.t
   | Kernel_equivalence
   | Engine_equivalence
+  | Round0_equivalence
 
 type verdict =
   | Pass
@@ -16,6 +17,7 @@ let name = function
   | Agreement_within eps -> Printf.sprintf "agreement-within:%s" (Q.to_string eps)
   | Kernel_equivalence -> "kernel-equivalence"
   | Engine_equivalence -> "engine-equivalence"
+  | Round0_equivalence -> "round0-equivalence"
 
 let to_json = function
   | Paper_properties -> Json.Obj [ ("kind", Json.Str "paper-properties") ]
@@ -25,6 +27,7 @@ let to_json = function
         ("eps", Json.Str (Q.to_string eps)) ]
   | Kernel_equivalence -> Json.Obj [ ("kind", Json.Str "kernel-equivalence") ]
   | Engine_equivalence -> Json.Obj [ ("kind", Json.Str "engine-equivalence") ]
+  | Round0_equivalence -> Json.Obj [ ("kind", Json.Str "round0-equivalence") ]
 
 let ( let* ) r f = Result.bind r f
 
@@ -41,13 +44,65 @@ let of_json j =
        Error (Printf.sprintf "agreement-within: %S is not a rational" s))
   | "kernel-equivalence" -> Ok Kernel_equivalence
   | "engine-equivalence" -> Ok Engine_equivalence
+  | "round0-equivalence" -> Ok Round0_equivalence
   | k -> Error (Printf.sprintf "unknown oracle kind %S" k)
+
+(* Every graded process's h[0] against the subset-hull oracle on its
+   recorded view, recomputed once per distinct view with the memo
+   tables bypassed so no cached hull stands in for the oracle's own. *)
+let round0_divergence (report : Chc.Executor.report) =
+  let result = report.Chc.Executor.result in
+  let { Chc.Config.d; f; _ } =
+    report.Chc.Executor.spec.Chc.Scenario.config
+  in
+  let oracle_memo = ref [] in
+  let oracle_h0 pts =
+    match
+      List.find_opt (fun (k, _) -> List.equal Geometry.Vec.equal k pts)
+        !oracle_memo
+    with
+    | Some (_, h) -> h
+    | None ->
+      let h =
+        Parallel.Memo.with_bypass (fun () ->
+            Geometry.Polytope.subset_hull_region ~dim:d ~f pts)
+      in
+      oracle_memo := (pts, h) :: !oracle_memo;
+      h
+  in
+  let n = Array.length result.Chc.Cc.round0_views in
+  let graded =
+    List.filter
+      (fun i ->
+         (not (List.mem i report.Chc.Executor.faulty))
+         || List.mem i report.Chc.Executor.recovered)
+      (List.init n Fun.id)
+  in
+  List.find_map
+    (fun i ->
+       match
+         result.Chc.Cc.round0_views.(i), List.assoc_opt 0 result.Chc.Cc.history.(i)
+       with
+       | Some view, Some h0 ->
+         let pts = List.sort Geometry.Vec.compare (List.map snd view) in
+         if Option.equal Geometry.Polytope.equal (Some h0) (oracle_h0 pts)
+         then None
+         else
+           Some
+             (Printf.sprintf
+                "round0-divergence: process %d's h[0] differs from the \
+                 subset-hull oracle on its view"
+                i)
+       | _ -> None)
+    graded
 
 (* Grading failures are themselves findings: an execution that blows
    the step limit is a liveness violation, and any other exception is
    an engine bug the fuzzer should surface rather than swallow. *)
 let grade oracle (report : Chc.Executor.report) =
   match oracle with
+  | Round0_equivalence ->
+    (match round0_divergence report with None -> Pass | Some msg -> Fail msg)
   | Kernel_equivalence | Engine_equivalence ->
     (* Graded from two runs, not one report — see [check]. *)
     invalid_arg "Oracle.grade: differential oracles are graded by check"

@@ -37,6 +37,13 @@ type t =
           under both, the incremental leg under a fresh engine handle
           and with memo tables bypassed, and any difference in the
           decided polytopes or the termination round is a failure *)
+  | Round0_equivalence
+      (** differential check of round 0: every graded process's
+          recorded [h\[0\]] (built by
+          {!Geometry.Polytope.depth_region}, or shared from a process
+          with the same view) must equal
+          {!Geometry.Polytope.subset_hull_region} recomputed from that
+          process's recorded view, memo tables bypassed *)
 
 type verdict = Pass | Fail of string
 (** [Fail] carries a one-line human reason. Engine escapes are

@@ -114,6 +114,7 @@ let contains p x =
 
 let subset p q =
   if p.dim <> q.dim then invalid_arg "Polytope.subset: dimension mismatch"
+  else if equal p q then true
   else if p.dim >= 3 then
     (* One H-representation of [q] answers every vertex of [p] with
        exact sign tests, where [contains] would run one LP per vertex *)
@@ -319,6 +320,117 @@ let intersect polys =
        (match verts with
         | None -> None
         | Some verts -> Some { dim = d; verts }))
+
+(* ------------------------------------------------------------------ *)
+(* Round 0: the points every (|X|-f)-subset hull contains. *)
+
+let subset_hull_region ~dim ~f pts =
+  let keep = List.length pts - f in
+  if keep < 1 then invalid_arg "Polytope.subset_hull_region: not enough points";
+  (* All C(|X|, f) subset hulls draw from the same input points, so
+     they share one denominator grid *)
+  Numeric.Grid.with_round (fun () -> Numeric.Grid.make pts) @@ fun () ->
+  intersect
+    (List.map (of_points ~dim) (Numeric.Combin.subsets_of_size keep pts))
+
+(* The hyperplane through [dim] distinct points as [(normal, offset)];
+   [None] when they are affinely dependent (collinear, for dim = 3). *)
+let hyperplane_through = function
+  | [ a; b ] ->
+    let e = Vec.sub b a in
+    let normal = Vec.make [ Q.neg e.(1); e.(0) ] in
+    Some (normal, Vec.dot normal a)
+  | [ a; b; c ] ->
+    let normal = Poly_engine.cross3 (Vec.sub b a) (Vec.sub c a) in
+    if Array.for_all Q.is_zero normal then None
+    else Some (normal, Vec.dot normal a)
+  | _ -> invalid_arg "Polytope.hyperplane_through: need 2 or 3 points"
+
+(* x lies outside some (|X|-f)-subset hull iff a closed halfspace
+   holding |X|-f view points misses x, so the region is the
+   intersection of all such halfspaces. When X is full-dimensional,
+   every subset hull is cut out by hyperplanes through [dim] affinely
+   independent view points: its own facets, or for a flat subset hull,
+   hyperplanes through its affine hull plus view points outside it.
+   So the closed sides of those hyperplanes that hold |X|-f points,
+   counting multiplicity, suffice. [None] when X is not
+   full-dimensional: then every such hyperplane holds all of X. *)
+let depth_halfspaces ~dim ~keep pts =
+  let counted =
+    List.fold_left
+      (fun acc p ->
+         match acc with
+         | (q, k) :: rest when Vec.equal p q -> (q, k + 1) :: rest
+         | _ -> (p, 1) :: acc)
+      [] (List.sort Vec.compare pts)
+  in
+  let distinct = Array.of_list (List.rev_map fst counted) in
+  let mult = Array.of_list (List.rev_map snd counted) in
+  let full = ref false in
+  let sides defining =
+    match hyperplane_through (List.map (Array.get distinct) defining) with
+    | None -> []
+    | Some (normal, offset) ->
+      (* the defining points lie on the hyperplane by construction *)
+      let on = ref 0 and below = ref 0 and above = ref 0 in
+      Array.iteri
+        (fun i p ->
+           if List.mem i defining then on := !on + mult.(i)
+           else
+             match Filter.sign_of_dot_minus normal p offset with
+             | 0 -> on := !on + mult.(i)
+             | s when s < 0 -> below := !below + mult.(i)
+             | _ -> above := !above + mult.(i))
+        distinct;
+      if !below + !above > 0 then full := true;
+      (if !below + !on >= keep then [ (normal, offset) ] else [])
+      @ (if !above + !on >= keep then [ (Vec.neg normal, Q.neg offset) ]
+         else [])
+  in
+  let cons =
+    List.concat_map sides
+      (Numeric.Combin.subsets_of_size dim
+         (List.init (Array.length distinct) Fun.id))
+  in
+  if !full then
+    Some
+      (Poly_engine.dedupe_constraints
+         (List.map Poly_engine.normalize_ineq cons))
+  else None
+
+let depth_region ~dim ~f pts =
+  let keep = List.length pts - f in
+  if keep < 1 then invalid_arg "Polytope.depth_region: not enough points";
+  List.iter
+    (fun p -> if Vec.dim p <> dim then
+        invalid_arg "Polytope.depth_region: dimension mismatch")
+    pts;
+  match dim with
+  | 1 ->
+    (* order statistics x_(f+1) and x_(|X|-f) *)
+    let xs = Array.of_list (List.sort Q.compare (List.map (fun p -> p.(0)) pts)) in
+    let lo = xs.(f) and hi = xs.(keep - 1) in
+    if Q.gt lo hi then None
+    else Some { dim; verts = canon_1d [ Vec.make [ lo ]; Vec.make [ hi ] ] }
+  | 2 | 3 ->
+    (match depth_halfspaces ~dim ~keep pts with
+     | None -> subset_hull_region ~dim ~f pts
+     | Some cons when dim = 2 ->
+       (match
+          List.fold_left
+            (fun acc (normal, offset) -> Hull2d.clip acc ~normal ~offset)
+            (Hull2d.hull pts) cons
+        with
+        | [] -> None
+        | verts -> Some { dim; verts })
+     | Some ineqs ->
+       (match Poly_engine.vertices_3d ~ineqs () with
+        | Some verts -> Some { dim; verts }
+        | None ->
+          (match Hullnd.vertices { Hullnd.dim; eqs = []; ineqs } with
+           | [] -> None
+           | vs -> Some { dim; verts = Hullnd.extreme_points vs })))
+  | _ -> subset_hull_region ~dim ~f pts
 
 (* ------------------------------------------------------------------ *)
 (* Measures. *)

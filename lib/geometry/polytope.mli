@@ -38,7 +38,8 @@ val dim : t -> int
 val equal : t -> t -> bool
 val contains : t -> Vec.t -> bool
 val subset : t -> t -> bool
-(** [subset p q]: is [p ⊆ q]? Exact. *)
+(** [subset p q]: is [p ⊆ q]? Exact; [true] without any geometry when
+    [equal p q]. *)
 
 val is_point : t -> bool
 
@@ -67,8 +68,25 @@ val average : t list -> t
 val intersect : t list -> t option
 (** Intersection of a non-empty list of polytopes; [None] when empty.
     Repeated polytopes are dropped first.
-    This implements line 5 of Algorithm CC (jointly with
-    {!Numeric.Combin.subsets_of_size}). *)
+    {!subset_hull_region} builds line 5 of Algorithm CC from it. *)
+
+val depth_region : dim:int -> f:int -> Vec.t list -> t option
+(** [∩_{C ⊆ X, |C| = |X|-f} H(C)] for the point multiset [X] — line 5
+    of Algorithm CC and Section 6's [I_Z]; [None] when it is empty.
+    Computed without building any subset hull: for [dim = 1] it is
+    the order statistics [x_(f+1)] and [x_(|X|-f)]; for [dim = 2, 3]
+    and full-dimensional [X] it is the intersection of the closed
+    sides of hyperplanes through [dim] view points that hold at least
+    [|X|-f] of them, counting multiplicity. Lower-dimensional views
+    and [dim >= 4] run {!subset_hull_region}. Same set, same canonical
+    form as {!subset_hull_region}.
+    @raise Invalid_argument if [|X| <= f] or on a dimension mismatch. *)
+
+val subset_hull_region : dim:int -> f:int -> Vec.t list -> t option
+(** The same set as {!depth_region}, built literally: the hull of
+    every [(|X|-f)]-subset of [X], then their {!intersect}. The
+    fallback for views {!depth_region} cannot take, and its test
+    oracle. @raise Invalid_argument if [|X| <= f]. *)
 
 (** {1 Measures} *)
 

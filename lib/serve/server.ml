@@ -51,7 +51,7 @@ let throughput_gauge =
 
 let latency_hist =
   Obs.Metrics.histogram "chc_serve_decision_latency_seconds"
-    ~help:"Submit-to-decision wall-clock latency."
+    ~help:"Submit-to-decision latency, on the monotonic clock."
 
 let violations_total =
   Obs.Metrics.counter "chc_serve_violations_total"
@@ -144,6 +144,10 @@ let grade o =
 
 (* --- the sharded multiplexer ------------------------------------------- *)
 
+(* Every duration below is read off the monotonic clock: wall-clock
+   time can step backwards under NTP and make a latency negative. *)
+let seconds_since ns = Int64.to_float (Int64.sub (Obs.Prof.now_ns ()) ns) /. 1e9
+
 type running = {
   rjob : job;
   insts : Instance.t array;
@@ -152,7 +156,6 @@ type running = {
   wal_ok : bool array;  (* per-process durability; cleared on I/O error *)
   trace : Obs.Trace.t option;  (* armed when causal_k > 0 *)
   inst_dir : string option;
-  submitted_at : float;
   submitted_ns : int64;
   mutable first_pump_ns : int64 option;
   was_resumed : bool;
@@ -165,7 +168,7 @@ type shard = {
                              last pump and still did not finish *)
   engine : Geometry.Poly_engine.handle;
       (* shared by every instance on this shard, so same-spec instances
-         reuse round-0 subset-hull structure across jobs *)
+         can reuse hull structure across jobs *)
   mutable reuse_mark : int;  (* handle_reuse at the last pump, for the
                                 per-pump counter delta *)
 }
@@ -191,14 +194,14 @@ type t = {
   wal_dir : string option;
   shards_arr : shard array;
   live_ids : (int, unit) Hashtbl.t;
-  created_at : float;
+  created_ns : int64;
   ws : wal_stats;
   mutable violations : int;
   mutable slowest : (float * int * int * Obs.Trace.t) list;
       (* (latency_s, id, n, trace), slowest first, length <= causal_k *)
-  mutable last_pump_at : float;
+  mutable last_pump_ns : int64;
   mutable decided_count : int;
-  mutable mark_at : float;
+  mutable mark_ns : int64;
   mutable mark_decided : int;
 }
 
@@ -236,7 +239,7 @@ let create ?shards ?(fuel = 64) ?(slow_s = 1.0) ?(causal_k = 0) ?wal_dir ()
             engine = Geometry.Poly_engine.create_handle ();
             reuse_mark = 0 });
     live_ids = Hashtbl.create 256;
-    created_at = Unix.gettimeofday ();
+    created_ns = Obs.Prof.now_ns ();
     ws =
       { ws_bytes = Atomic.make 0;
         ws_appends = Atomic.make 0;
@@ -246,9 +249,9 @@ let create ?shards ?(fuel = 64) ?(slow_s = 1.0) ?(causal_k = 0) ?wal_dir ()
         ws_last_error = Atomic.make None };
     violations = 0;
     slowest = [];
-    last_pump_at = Unix.gettimeofday ();
+    last_pump_ns = Obs.Prof.now_ns ();
     decided_count = 0;
-    mark_at = Unix.gettimeofday ();
+    mark_ns = Obs.Prof.now_ns ();
     mark_decided = 0 }
 
 let shards t = t.shard_count
@@ -393,7 +396,6 @@ let submit t ?resume job =
   in
   let r =
     { rjob = job; insts; lb; wal; wal_ok; trace; inst_dir;
-      submitted_at = Unix.gettimeofday ();
       submitted_ns = Obs.Prof.now_ns ();
       first_pump_ns = None;
       was_resumed = resume <> None }
@@ -438,7 +440,7 @@ let finalize t r =
       with
       | Ok () -> ()
       | Error msg -> Printf.eprintf "chc_serve: %s\n%!" msg));
-  let latency_s = Unix.gettimeofday () -. r.submitted_at in
+  let latency_s = seconds_since r.submitted_ns in
   Obs.Metrics.observe latency_hist latency_s;
   Obs.Metrics.incr decided_total;
   let t_end = Instance.t_end r.insts.(0) in
@@ -550,14 +552,14 @@ let pump t =
   let outcomes = List.map fst completed in
   List.iter (fun o -> Hashtbl.remove t.live_ids o.job.id) outcomes;
   t.decided_count <- t.decided_count + List.length outcomes;
-  t.last_pump_at <- Unix.gettimeofday ();
+  let now = Obs.Prof.now_ns () in
+  t.last_pump_ns <- now;
   Obs.Metrics.set inflight_gauge (float_of_int (inflight t));
-  let now = Unix.gettimeofday () in
-  let dt = now -. t.mark_at in
+  let dt = Int64.to_float (Int64.sub now t.mark_ns) /. 1e9 in
   if dt >= 1.0 then begin
     Obs.Metrics.set throughput_gauge
       (float_of_int (t.decided_count - t.mark_decided) /. dt);
-    t.mark_at <- now;
+    t.mark_ns <- now;
     t.mark_decided <- t.decided_count
   end;
   outcomes
@@ -587,7 +589,6 @@ let json_s s = Codec.Json.Str (Printf.sprintf "%.3f" s)
 let healthz t () =
   let wal_err = wal_error t in
   let healthy = t.violations = 0 && wal_err = None in
-  let now = Unix.gettimeofday () in
   ( healthy,
     Codec.Json.Obj
       [ ("status", Codec.Json.Str (if healthy then "ok" else "degraded"));
@@ -598,13 +599,12 @@ let healthz t () =
           match wal_err with
           | None -> Codec.Json.Null
           | Some m -> Codec.Json.Str m );
-        ("uptime_s", json_s (now -. t.created_at));
-        ("since_last_pump_s", json_s (now -. t.last_pump_at)) ] )
+        ("uptime_s", json_s (seconds_since t.created_ns));
+        ("since_last_pump_s", json_s (seconds_since t.last_pump_ns)) ] )
 
 let statusz t () =
   let open Codec.Json in
-  let now = Unix.gettimeofday () in
-  let uptime = now -. t.created_at in
+  let uptime = seconds_since t.created_ns in
   let latency =
     match
       List.find_map

@@ -53,7 +53,7 @@ type outcome = {
           by pid ascending *)
   t_end : int;
   steps : int;         (** loopback deliveries consumed *)
-  latency_s : float;   (** submit-to-decision wall clock *)
+  latency_s : float;   (** submit-to-decision time, monotonic clock *)
   recovered : Runtime.Transport.pid list;
   resumed : bool;      (** went through the WAL restore path *)
 }

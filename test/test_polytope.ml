@@ -138,6 +138,217 @@ let test_fifo_execution_merges () =
   Alcotest.(check int) "every round merged" (5 * t_end) (lop "merged" - merged0);
   Alcotest.(check int) "no Minkowski sum" 0 (lop "minkowski" - sums0)
 
+(* --- round 0: depth halfspaces and the per-execution table ----------- *)
+
+(* Views of n - f to n points for n from (d+2)f+1 upward, on grids of
+   1-4 steps per axis (duplicates, collinear and coplanar views, and
+   lower-dimensional views that take the subset-hull fallback) and on
+   the workloads' 1000-step grid. *)
+let arb_view ~dim ~f =
+  let open QCheck.Gen in
+  let gen =
+    let* steps = oneofl [ 1; 2; 3; 4; 1000 ] in
+    let lo = ((dim + 2) * f) + 1 in
+    let* n = lo -- (lo + 2) in
+    let* m = (n - f) -- n in
+    list_size (return m)
+      (map Vec.make
+         (list_size (return dim) (map (fun k -> Q.of_ints k steps) (0 -- steps))))
+  in
+  QCheck.make ~print:Gen.print_points gen
+
+let depth_region_props =
+  List.map
+    (fun (dim, f, count) ->
+       Gen.prop ~count
+         (Printf.sprintf "depth_region = subset-hull oracle (d=%d, f=%d)" dim f)
+         (arb_view ~dim ~f)
+         (fun pts ->
+            Option.equal P.equal (P.depth_region ~dim ~f pts)
+              (P.subset_hull_region ~dim ~f pts)))
+    [ (1, 1, 300); (1, 2, 300); (2, 1, 300); (2, 2, 150); (3, 1, 60);
+      (3, 2, 4) ]
+
+let round0 result = counter "chc_round0_total" [ ("result", result) ]
+
+let crash_free_spec ?scheduler ~n ~d seed =
+  let config =
+    Chc.Config.make ~n ~f:1 ~d ~eps:(Q.of_ints 1 10) ~lo:Q.zero ~hi:Q.one
+  in
+  Chc.Executor.default_spec ~config ~seed ~faulty:[]
+    ~scheduler:(Option.value scheduler ~default:Runtime.Scheduler.fifo) ()
+
+let h0_of (r : Chc.Executor.report) i =
+  List.assoc 0 r.Chc.Executor.result.Chc.Cc.history.(i)
+
+(* Crash-free FIFO: every process ends round 0 with all n inputs, so
+   one computes h[0] and the other n-1 take the very same value. *)
+let test_round0_shared () =
+  let computed0 = round0 "computed" and shared0 = round0 "shared" in
+  let r = Chc.Executor.run (crash_free_spec ~n:5 ~d:2 3) in
+  Alcotest.(check int) "one computed" 1 (round0 "computed" - computed0);
+  Alcotest.(check int) "four shared" 4 (round0 "shared" - shared0);
+  let h0 = h0_of r 0 in
+  for i = 1 to 4 do
+    Alcotest.(check bool)
+      (Printf.sprintf "process %d holds process 0's h[0]" i)
+      true (h0_of r i == h0)
+  done;
+  Alcotest.(check bool) "I_Z is that h[0]" true
+    (match r.Chc.Executor.iz with Some z -> z == h0 | None -> false);
+  Alcotest.(check bool) "optimal" true r.Chc.Executor.optimal;
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "/metrics family with HELP" true
+    (contains (Obs.Metrics.exposition_all ()) "# HELP chc_round0_total ");
+  Alcotest.(check bool) "in the report" true
+    (contains
+       (Obs.Report.to_string (Obs.Report.capture ~sim:None ()))
+       "chc_round0_total{result=\"shared\"}")
+
+(* Under a lagging scheduler, views differ: each distinct point multiset
+   is computed once, and processes that agree share. *)
+let test_round0_views_differ () =
+  let computed0 = round0 "computed" and shared0 = round0 "shared" in
+  let r =
+    Chc.Executor.run
+      (crash_free_spec ~n:6 ~d:2
+         ~scheduler:(Runtime.Scheduler.lag_sources [ 0; 1 ]) 5)
+  in
+  let keys =
+    Array.map
+      (Option.map (fun v -> List.sort Vec.compare (List.map snd v)))
+      r.Chc.Executor.result.Chc.Cc.round0_views
+  in
+  let views = List.filter_map Fun.id (Array.to_list keys) in
+  let distinct_views =
+    List.length (List.sort_uniq (List.compare Vec.compare) views)
+  in
+  let computed = round0 "computed" - computed0 in
+  Alcotest.(check bool) "views differ" true (distinct_views > 1);
+  Alcotest.(check int) "one computation per distinct view" distinct_views
+    computed;
+  Alcotest.(check int) "the rest shared" (List.length views - computed)
+    (round0 "shared" - shared0);
+  Array.iteri
+    (fun i ki ->
+       Array.iteri
+         (fun j kj ->
+            match ki, kj with
+            | Some a, Some b when i < j && List.equal Vec.equal a b ->
+              Alcotest.(check bool)
+                (Printf.sprintf "processes %d and %d share h[0]" i j)
+                true (h0_of r i == h0_of r j)
+            | _ -> ())
+         keys)
+    keys;
+  Alcotest.(check bool) "terminated" true r.Chc.Executor.terminated
+
+let corpus_spec (n, f, d, sched, round0, recover, seed) =
+  let config =
+    Chc.Config.make ~n ~f ~d ~eps:(Q.of_ints 1 4) ~lo:Q.zero ~hi:Q.one
+  in
+  let scheduler =
+    match Runtime.Scheduler.of_spec sched with
+    | Ok s -> s
+    | Error e -> failwith e
+  in
+  let spec = Chc.Executor.default_spec ~config ~seed ~scheduler ~round0 () in
+  if recover then Chc.Cli.recoverize ~delay:8 ~keep:1 spec else spec
+
+(* One execution's observable outputs, byte for byte: the transcript,
+   every process's decision and round history, its WAL, and the
+   grading verdicts. *)
+let execution_bytes case =
+  let trace = Obs.Trace.create () in
+  let r = Chc.Executor.run ~trace (corpus_spec case) in
+  let b = Buffer.create 4096 in
+  let line s = Buffer.add_string b s; Buffer.add_char b '\n' in
+  let opt f = function None -> "-" | Some x -> f x in
+  Buffer.add_string b (Obs.Trace.to_jsonl trace);
+  let res = r.Chc.Executor.result in
+  Array.iteri
+    (fun i hist ->
+       line (Printf.sprintf "process %d decided %s" i
+               (opt P.to_string res.Chc.Cc.outputs.(i)));
+       List.iter (fun (t, h) -> line (Printf.sprintf "h[%d] = %s" t (P.to_string h))) hist;
+       List.iter (fun e -> line (Chc.Recovery.event_to_string e)) res.Chc.Cc.wal_log.(i))
+    res.Chc.Cc.history;
+  line
+    (Printf.sprintf "terminated=%b valid=%b/%b agreement=%s/%b optimal=%b stable=%b"
+       r.Chc.Executor.terminated r.Chc.Executor.valid
+       r.Chc.Executor.valid_all_inputs
+       (opt Q.to_string r.Chc.Executor.agreement2)
+       r.Chc.Executor.agreement_ok r.Chc.Executor.optimal
+       r.Chc.Executor.decision_stable);
+  line
+    (Printf.sprintf "iz=%s volumes=%s/%s" (opt P.to_string r.Chc.Executor.iz)
+       (opt Q.to_string r.Chc.Executor.min_output_volume)
+       (opt Q.to_string r.Chc.Executor.iz_volume));
+  Buffer.contents b
+
+(* MD5 of [execution_bytes] for a pinned corpus over d = 1..3, the
+   random, fifo, round-robin and lag:0,1 schedulers, naive round 0 and
+   crash-recovery, as produced by the subset-hull round 0 that
+   [depth_region] replaced. Round 0 computes the same sets in the same
+   canonical forms, so every byte must stay put. *)
+let pinned_corpus =
+  [ ((4, 1, 1, "random", `Stable_vector, false, 1),
+      "d0df617addbc52343afba8387e051781");
+    ((7, 2, 1, "round-robin", `Naive, false, 2),
+      "8d66069dbc3311ab00edb80a64e7cbdc");
+    ((4, 1, 1, "lag:0,1", `Stable_vector, true, 10),
+      "4cc393058cc18ffcb8f8ecbb2e31d177");
+    ((5, 1, 2, "fifo", `Stable_vector, false, 3),
+      "5a77c07f45a52fa4922222f48aa89f77");
+    ((6, 1, 2, "lag:0,1", `Stable_vector, false, 4),
+      "91cee6f273648a798038e742e13f9a19");
+    ((9, 2, 2, "random", `Stable_vector, true, 5),
+      "8435c500c16239f293084fe4db44cb5d");
+    ((6, 1, 2, "round-robin", `Naive, false, 6),
+      "a673bb9386b6f577017c3d6a59de7210");
+    ((6, 1, 2, "lag:0,1", `Naive, true, 12),
+      "3020efe46d98e0def3515bad1a591bd7");
+    ((6, 1, 3, "random", `Stable_vector, false, 7),
+      "d6413de2aef5de9c02a45fbb1ef6606e");
+    ((7, 1, 3, "lag:0,1", `Stable_vector, true, 8),
+      "334cdc43fd9820d8b4b027c9b2921f67");
+    ((6, 1, 3, "fifo", `Naive, false, 9),
+      "36094607c2c2a1e91c89487afc87404f");
+    ((7, 1, 3, "round-robin", `Stable_vector, false, 11),
+      "28514905432c04ae4863b90e3989a569") ]
+
+let test_pinned_corpus () =
+  List.iter
+    (fun ((n, f, d, sched, _, recover, seed) as case, digest) ->
+       Alcotest.(check string)
+         (Printf.sprintf "n=%d f=%d d=%d %s%s seed %d" n f d sched
+            (if recover then " recover" else "") seed)
+         digest
+         (Digest.to_hex (Digest.string (execution_bytes case))))
+    pinned_corpus
+
+(* The fuzzer's round-0 leg passes over the same corpus, and its
+   verdict kind survives the artifact codec. *)
+let test_round0_equivalence_oracle () =
+  let o = Fuzz.Oracle.Round0_equivalence in
+  (match Fuzz.Oracle.of_json (Fuzz.Oracle.to_json o) with
+   | Ok o' ->
+     Alcotest.(check string) "codec roundtrip" (Fuzz.Oracle.name o)
+       (Fuzz.Oracle.name o')
+   | Error e -> Alcotest.fail ("oracle codec: " ^ e));
+  List.iter
+    (fun (case, _) ->
+       match Fuzz.Oracle.check o (corpus_spec case) with
+       | Fuzz.Oracle.Pass -> ()
+       | Fuzz.Oracle.Fail msg -> Alcotest.fail msg)
+    pinned_corpus
+
 (* --- properties ------------------------------------------------------ *)
 
 let arb_poly dim =
@@ -292,5 +503,13 @@ let suite =
           test_agreeing_round_no_geometry;
         Alcotest.test_case "merge counters" `Quick test_merge_counters;
         Alcotest.test_case "FIFO execution merges every round" `Quick
-          test_fifo_execution_merges ]
-      @ List.map Gen.qtest (props @ merge_props) ) ]
+          test_fifo_execution_merges;
+        Alcotest.test_case "equal views share one h[0]" `Quick
+          test_round0_shared;
+        Alcotest.test_case "differing views computed once each" `Quick
+          test_round0_views_differ;
+        Alcotest.test_case "pinned corpus byte for byte" `Slow
+          test_pinned_corpus;
+        Alcotest.test_case "round0-equivalence oracle" `Slow
+          test_round0_equivalence_oracle ]
+      @ List.map Gen.qtest (props @ merge_props @ depth_region_props) ) ]

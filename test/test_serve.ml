@@ -123,15 +123,20 @@ let server_drain_and_grade () =
       { Workload.n = 5; f = 1; d = 2; recover = false };
       { Workload.n = 6; f = 1; d = 2; recover = true } ]
   in
+  let started = Obs.Prof.now_ns () in
   List.iteri
     (fun id shape -> Server.submit server (job shape ~id ~seed:(100 + id)))
     shapes;
   Alcotest.(check int) "inflight" 3 (Server.inflight server);
   let outcomes = Server.drain server in
+  let wall_s = Int64.to_float (Int64.sub (Obs.Prof.now_ns ()) started) /. 1e9 in
   Alcotest.(check int) "all decided" 3 (List.length outcomes);
   Alcotest.(check int) "none left" 0 (Server.inflight server);
   List.iter
     (fun (o : Server.outcome) ->
+       if o.Server.latency_s < 0. || o.Server.latency_s > wall_s then
+         Alcotest.failf "instance %d latency %gs outside [0, %gs]"
+           o.Server.job.Server.id o.Server.latency_s wall_s;
        (match Server.grade o with
         | Ok () -> ()
         | Error msg ->
