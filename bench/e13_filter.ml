@@ -1,15 +1,13 @@
 (* E13 — Kernel ablation: exact rationals vs the certified
-   float-interval filter vs the staged scaled-integer kernel, across
-   full executions of Algorithm CC.
+   float-interval filter, across full executions of Algorithm CC.
 
-   For each (n, d) the same scenario is executed three times — once
-   per CHC_KERNEL mode. The structural memo tables stay enabled (that
-   is the production hot path) but are flushed before every measured
-   run, so each starts from cold caches and a value computed under one
-   kernel is never served to another's run. The filter's per-stage
-   counters give, for each kernel, the fraction of predicates each
-   stage certified: interval hits, scaled-integer second-stage hits
-   (staged only), and exact fallbacks. Results land in
+   For each (n, d) the same scenario is executed twice — once per
+   CHC_KERNEL mode. The structural memo tables stay enabled (that is
+   the production hot path) but are flushed before every measured run,
+   so each starts from cold caches and a value computed under one
+   kernel is never served to the other's run. The filter's counters
+   give the fraction of predicates the interval filter certified and
+   the fraction that fell back to exact arithmetic. Results land in
    BENCH_E13.json. *)
 
 module Q = Numeric.Q
@@ -20,13 +18,9 @@ type entry = {
   d : int;
   exact_ms : float;
   filtered_ms : float;
-  staged_ms : float;
-  f_hits : int;          (* filtered run: interval hits *)
-  f_fallbacks : int;     (* filtered run: exact fallbacks *)
-  s_hits : int;          (* staged run: interval hits *)
-  s_int_hits : int;      (* staged run: second-stage hits *)
-  s_fallbacks : int;     (* staged run: exact fallbacks *)
-  preds : (string * K.stat) list;  (** per-predicate, staged run only *)
+  hits : int;            (* filtered run: interval hits *)
+  fallbacks : int;       (* filtered run: exact fallbacks *)
+  preds : (string * K.stat) list;  (** per-predicate, filtered run *)
 }
 
 let time_exec spec mode =
@@ -49,25 +43,15 @@ let measure (n, d) =
   let exact_ms = time_exec spec K.Exact in
   K.reset_stats ();
   let filtered_ms = time_exec spec K.Filtered in
-  let { K.hits = f_hits; fallbacks = f_fallbacks; _ } = K.totals () in
-  K.reset_stats ();
-  let staged_ms = time_exec spec K.Staged in
-  let { K.hits = s_hits; int_hits = s_int_hits; fallbacks = s_fallbacks } =
-    K.totals ()
-  in
+  let { K.hits; fallbacks } = K.totals () in
   let preds =
-    List.filter
-      (fun (_, s) -> s.K.hits + s.K.int_hits + s.K.fallbacks > 0)
-      (K.stats ())
+    List.filter (fun (_, s) -> s.K.hits + s.K.fallbacks > 0) (K.stats ())
   in
-  { n; d; exact_ms; filtered_ms; staged_ms;
-    f_hits; f_fallbacks; s_hits; s_int_hits; s_fallbacks; preds }
+  { n; d; exact_ms; filtered_ms; hits; fallbacks; preds }
 
-let rate fallbacks total =
-  if total = 0 then 0.0 else float_of_int fallbacks /. float_of_int total
-
-let f_rate e = rate e.f_fallbacks (e.f_hits + e.f_fallbacks)
-let s_rate e = rate e.s_fallbacks (e.s_hits + e.s_int_hits + e.s_fallbacks)
+let fb_rate e =
+  let total = e.hits + e.fallbacks in
+  if total = 0 then 0.0 else float_of_int e.fallbacks /. float_of_int total
 
 let speedup base ms = if ms > 0.0 then base /. ms else 0.0
 
@@ -82,24 +66,19 @@ let emit_json entries =
           (fun i e ->
              Printf.fprintf oc
                "    {\"name\": \"full-execution-n%d-d%d\", \"exact_ms\": \
-                %.2f, \"filtered_ms\": %.2f, \"staged_ms\": %.2f, \
-                \"filtered_speedup\": %.3f, \"staged_speedup\": %.3f, \
+                %.2f, \"filtered_ms\": %.2f, \"filtered_speedup\": %.3f, \
                 \"filter_hits\": %d, \"filter_fallbacks\": %d, \
-                \"fallback_rate\": %.4f, \"staged_hits\": %d, \
-                \"staged_int_hits\": %d, \"staged_fallbacks\": %d, \
-                \"staged_fallback_rate\": %.4f, \"preds\": [%s]}%s\n"
-               e.n e.d e.exact_ms e.filtered_ms e.staged_ms
+                \"fallback_rate\": %.4f, \"preds\": [%s]}%s\n"
+               e.n e.d e.exact_ms e.filtered_ms
                (speedup e.exact_ms e.filtered_ms)
-               (speedup e.exact_ms e.staged_ms)
-               e.f_hits e.f_fallbacks (f_rate e)
-               e.s_hits e.s_int_hits e.s_fallbacks (s_rate e)
+               e.hits e.fallbacks (fb_rate e)
                (String.concat ", "
                   (List.map
                      (fun (p, (s : K.stat)) ->
                         Printf.sprintf
-                          "{\"pred\": \"%s\", \"hits\": %d, \"int_hits\": \
-                           %d, \"fallbacks\": %d}"
-                          p s.K.hits s.K.int_hits s.K.fallbacks)
+                          "{\"pred\": \"%s\", \"hits\": %d, \
+                           \"fallbacks\": %d}"
+                          p s.K.hits s.K.fallbacks)
                      e.preds))
                (if i = last then "" else ","))
           entries;
@@ -113,19 +92,17 @@ let run () =
   (* n >= (d+2)f + 1, so d=3 starts at n=6. *)
   let entries = List.map measure [ (5, 2); (6, 2); (6, 3); (7, 3) ] in
   Util.print_table
-    ~title:
-      "E13: exact vs filtered vs staged kernels (cold caches per run)"
+    ~title:"E13: exact vs filtered kernels (cold caches per run)"
     ~header:
-      [ "scenario"; "exact ms"; "filt ms"; "staged ms"; "stage2 hits";
-        "fb rate" ]
-    ~widths:[22; 9; 9; 10; 12; 8]
+      [ "scenario"; "exact ms"; "filt ms"; "speedup"; "filt hits"; "fb rate" ]
+    ~widths:[22; 9; 9; 8; 10; 8]
     (List.map
        (fun e ->
           [ Printf.sprintf "n=%d f=1 d=%d seed=42" e.n e.d;
             Printf.sprintf "%.1f" e.exact_ms;
             Printf.sprintf "%.1f" e.filtered_ms;
-            Printf.sprintf "%.1f" e.staged_ms;
-            Printf.sprintf "%d" e.s_int_hits;
-            Printf.sprintf "%.1f%%" (100.0 *. s_rate e) ])
+            Printf.sprintf "%.2f" (speedup e.exact_ms e.filtered_ms);
+            Printf.sprintf "%d" e.hits;
+            Printf.sprintf "%.1f%%" (100.0 *. fb_rate e) ])
        entries);
   emit_json entries

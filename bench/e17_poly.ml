@@ -11,7 +11,7 @@
    Methodology mirrors e16: runs are interleaved (rebuild/incremental,
    [rounds] times), COLD (memo tables flushed before every execution,
    so the speedup measured is the engine's structure reuse plus its
-   certified fast paths, not a memo artifact), under the staged
+   certified fast paths, not a memo artifact), under the default
    kernel — the same conditions as the e10 cc/full-execution-n7-d3
    entry. Each engine keeps its best wall clock.
 
@@ -38,7 +38,6 @@ let run () =
   let run_once mode =
     Parallel.Memo.clear_all ();
     PE.with_mode mode @@ fun () ->
-    Numeric.Kernel.with_mode Numeric.Kernel.Staged @@ fun () ->
     let t0 = Unix.gettimeofday () in
     let r = Chc.Executor.run spec in
     let dt = Unix.gettimeofday () -. t0 in
@@ -73,7 +72,7 @@ let run () =
     ~title:
       (Printf.sprintf
          "E17: polytope engine ablation, cc/full-execution-n7-d3 (best of %d \
-          cold runs, staged kernel)"
+          cold runs)"
          rounds)
     ~header:[ "engine"; "ms/exec"; "speedup" ] ~widths:[ 12; 10; 8 ]
     [ [ "rebuild"; Util.f3 (reb *. 1e3); "1.00" ];

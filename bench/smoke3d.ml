@@ -44,35 +44,27 @@ let run () =
   in
   Numeric.Kernel.reset_stats ();
   let exact, exact_tr = run_under Numeric.Kernel.Exact in
+  let filtered, filtered_tr = run_under Numeric.Kernel.Filtered in
   let outputs (r : Executor.report) = r.Executor.result.Chc.Cc.outputs in
-  List.iter
-    (fun m ->
-       let name = Numeric.Kernel.to_string m in
-       let other, other_tr = run_under m in
-       if not (String.equal exact_tr other_tr) then
+  if not (String.equal exact_tr filtered_tr) then
+    failwith
+      "smoke3d: filtered-kernel transcript differs from exact (trace bytes)";
+  Array.iteri
+    (fun i o ->
+       match (o, (outputs filtered).(i)) with
+       | None, None -> ()
+       | Some p, Some p' when Geometry.Polytope.equal p p' -> ()
+       | _ ->
          failwith
            (Printf.sprintf
-              "smoke3d: %s-kernel transcript differs from exact (trace bytes)"
-              name);
-       Array.iteri
-         (fun i o ->
-            match (o, (outputs other).(i)) with
-            | None, None -> ()
-            | Some p, Some p' when Geometry.Polytope.equal p p' -> ()
-            | _ ->
-              failwith
-                (Printf.sprintf
-                   "smoke3d: kernel divergence — process %d decided different \
-                    polytopes under exact vs %s" i name))
-         (outputs exact))
-    [ Numeric.Kernel.Filtered; Numeric.Kernel.Staged ];
-  let { Numeric.Kernel.hits; int_hits; fallbacks } =
-    Numeric.Kernel.totals ()
-  in
+              "smoke3d: kernel divergence — process %d decided different \
+               polytopes under exact vs filtered" i))
+    (outputs exact);
+  let { Numeric.Kernel.hits; fallbacks } = Numeric.Kernel.totals () in
   Printf.printf
-    "  kernel equivalence: exact = filtered = staged (transcript %d bytes, \
-     filter hits=%d int_hits=%d fallbacks=%d)\n"
-    (String.length exact_tr) hits int_hits fallbacks;
+    "  kernel equivalence: exact = filtered (transcript %d bytes, filter \
+     hits=%d fallbacks=%d)\n"
+    (String.length exact_tr) hits fallbacks;
   (* Engine equivalence: the incremental engine's certified fast paths
      and structure reuse must be observationally invisible — executor
      reports and traces byte-identical to the rebuild oracle. *)

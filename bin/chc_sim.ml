@@ -394,8 +394,8 @@ let differential_arg =
   Arg.(value & flag
        & info ["differential"]
            ~doc:"After every trial that passes the oracle, re-run it under \
-                 every arithmetic kernel — exact as the oracle, then \
-                 filtered and staged (memo caches bypassed) — and under \
+                 both arithmetic kernels — exact as the oracle vs \
+                 filtered (memo caches bypassed) — and under \
                  both polytope engines — rebuild as the oracle vs \
                  incremental with a fresh engine handle — and flag \
                  any divergence in the decided polytopes as a shrinkable \

@@ -6,8 +6,10 @@
    2. the Prometheus exposition must contain every chc_serve metric
       family the daemon advertises;
    3. when handed the daemon binary (argv 1), a real-socket leg: spawn
-      [chc_serve listen] on an ephemeral port, submit 200 mixed
-      instances as length-prefixed frames over TCP, scrape the admin
+      [chc_serve listen] on an ephemeral port, send a hostile frame on
+      a second connection (the daemon must drop that client and carry
+      on), submit 200 mixed instances as length-prefixed frames over
+      TCP, scrape the admin
       plane (/metrics, /statusz, /healthz — protocol-hijacked on the
       same port) MID-RUN while the daemon still owes decisions, check
       every Decision against an in-process re-execution of the same
@@ -32,6 +34,12 @@ let in_process () =
       ~label:"smoke" ~first_id:0 ~concurrency:64 ~total:200 ()
   in
   check "200 mixed instances decided" (phase.Workload.instances = 200);
+  (* latencies and the phase wall come from the same monotonic clock *)
+  check
+    (Printf.sprintf "0 < latency_max_s (%.3f) <= wall_s (%.3f)"
+       phase.Workload.latency_max_s phase.Workload.wall_s)
+    (0. < phase.Workload.latency_max_s
+     && phase.Workload.latency_max_s <= phase.Workload.wall_s);
   (match phase.Workload.grade_failures with
    | [] -> Printf.printf "ok: Theorem 2 holds for all 200 (%.1f inst/s)\n%!"
              phase.Workload.throughput_ips
@@ -136,6 +144,49 @@ let json_member key j =
   | Some v -> v
   | None -> fail "statusz JSON lacks key %S" key
 
+(* A 41-byte Submit frame announcing 2^55 inputs but carrying one: a
+   decoder that sizes its input array from that count dies in
+   Array.make. *)
+let hostile_frame () =
+  let b = Buffer.create 48 in
+  List.iter (Codec.Wire.write_varint b) [ 0; 1 lsl 28; 4; 1; 1 ];
+  List.iter (Codec.Wire.write_q b) [ Q.of_ints 1 100; Q.zero; Q.one ];
+  Codec.Wire.write_varint b (1 lsl 55);
+  Codec.Wire.write_vec b [| Q.half |];
+  Frame.encode_frame (Buffer.contents b)
+
+(* Send the hostile frame on its own connection. The daemon must close
+   that connection without answering it, and keep accepting others. *)
+let hostile_client port =
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let with_conn f =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () -> f fd)
+  in
+  let frame = hostile_frame () in
+  with_conn (fun fd ->
+      Unix.connect fd addr;
+      if Unix.write_substring fd frame 0 (String.length frame)
+         <> String.length frame
+      then fail "short write of the hostile frame";
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+      match Unix.read fd (Bytes.create 64) 0 64 with
+      | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+      | k -> fail "daemon answered the hostile frame with %d bytes" k
+      | exception Unix.Unix_error (e, _, _) ->
+        fail "hostile client still connected (%s)" (Unix.error_message e));
+  with_conn (fun fd ->
+      match Unix.connect fd addr with
+      | () -> ()
+      | exception Unix.Unix_error (e, _, _) ->
+        fail "daemon gone after the hostile frame (%s)" (Unix.error_message e));
+  check
+    (Printf.sprintf "daemon dropped the %d-byte hostile client and lives"
+       (String.length frame))
+    true
+
 let socket_leg daemon_exe =
   let total = 200 in
   let log_file = Filename.temp_file "chc_serve_smoke" ".jsonl" in
@@ -199,6 +250,7 @@ let socket_leg daemon_exe =
   let wave1, wave2 =
     List.partition (fun (Frame.Submit { id; _ }) -> id < total / 2) requests
   in
+  hostile_client port;
   List.iter send wave1;
   read_responses (total / 4);
   let metrics = scrape port "/metrics" in

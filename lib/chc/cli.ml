@@ -148,17 +148,13 @@ let naive_arg =
 
 let kernel_arg =
   Arg.(value & opt (some string) None
-       & info ["kernel"] ~docv:"exact|filtered|staged"
+       & info ["kernel"] ~docv:"exact|filtered"
            ~doc:"Arithmetic kernel: $(b,filtered) answers geometry \
                  predicates from a certified float-interval filter with \
-                 exact rational fallback; $(b,staged) adds a \
-                 scaled-integer second stage (machine-int/double-word \
-                 evaluation, extended-exponent intervals and \
-                 modular-residue zero certificates) between the filter \
-                 and the fallback; $(b,exact) always runs the rational \
-                 path (the oracle). Default: the $(b,CHC_KERNEL) \
-                 environment variable, else filtered. Results are \
-                 identical in every mode.")
+                 exact rational fallback; $(b,exact) always runs the \
+                 rational path (the oracle). Default: the \
+                 $(b,CHC_KERNEL) environment variable, else filtered. \
+                 Results are identical in both modes.")
 
 let poly_arg =
   Arg.(value & opt (some string) None

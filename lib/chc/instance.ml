@@ -44,8 +44,9 @@ let io ?(emit = fun _ -> ()) ?(on_wal = fun _ -> ()) ?(on_sync = fun () -> ())
   { send; broadcast; sends; emit; on_wal; on_sync }
 
 (* h[0] by sorted view points. Keys are compared with [Vec.equal]
-   rather than hashed: [Q.t] carries a mutable residue cache, and an
-   execution holds at most n views. *)
+   rather than hashed: [Q.t] carries a mutable enclosure cache, so
+   polymorphic hashing is unstable, and an execution holds at most n
+   views. *)
 type round0_table = {
   mutable views : (Geometry.Vec.t list * Geometry.Polytope.t) list;
 }

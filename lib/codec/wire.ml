@@ -85,6 +85,16 @@ let read_varint r =
   in
   go 0 0
 
+(* Every element a count announces takes at least one more byte, so a
+   count above the unread bytes is malformed. Checking it here, before
+   any caller sizes an allocation from it, keeps a hostile count from
+   costing more than the bytes that carried it. *)
+let read_count r =
+  let n = read_varint r in
+  if n < 0 || n > String.length r.bytes - r.pos then
+    raise (Malformed "count exceeds remaining bytes")
+  else n
+
 let read_int r =
   let encoded = read_varint r in
   if encoded land 1 = 0 then encoded lsr 1 else -((encoded + 1) lsr 1)
@@ -93,7 +103,7 @@ let read_bigint r =
   match read_byte r with
   | 1 -> B.zero
   | (0 | 2) as s ->
-    let count = read_varint r in
+    let count = read_count r in
     if count = 0 then raise (Malformed "bigint: empty magnitude");
     let acc = ref B.zero in
     let limbs = Array.init count (fun _ -> read_varint r) in
@@ -119,7 +129,7 @@ let read_polytope r =
   let d = read_varint r in
   if d < 1 || d > 64 then raise (Malformed "polytope: bad dimension")
   else begin
-    let count = read_varint r in
+    let count = read_count r in
     if count < 1 || count > 100_000 then raise (Malformed "polytope: bad vertex count")
     else begin
       let verts = List.init count (fun _ -> read_vec r) in

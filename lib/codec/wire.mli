@@ -43,6 +43,14 @@ val reader_done : reader -> bool
 (** All bytes consumed? *)
 
 val read_varint : reader -> int
+
+val read_count : reader -> int
+(** A varint that counts the elements (or bytes) that follow it, for
+    sizing an allocation. Each element takes at least one byte, so a
+    count above the unread bytes (or a negative one) is rejected before
+    the caller allocates anything.
+    @raise Malformed on such a count. *)
+
 val read_int : reader -> int
 val read_bigint : reader -> Numeric.Bigint.t
 val read_q : reader -> Q.t

@@ -107,12 +107,11 @@ let run ?(space = Gen.default_space) ?(oracle = Oracle.Paper_properties)
     ?(differential = false) ?(out_dir = "fuzz-artifacts") ?(max_findings = 3)
     ?(log = default_log) ~seed budget =
   Strategies.register_builtin ();
-  let started = Unix.gettimeofday () in
-  let deadline = Option.map (fun b -> started +. b) budget.time_budget in
+  let started = Obs.Prof.now_ns () in
   let expired () =
-    match deadline with
+    match budget.time_budget with
     | None -> false
-    | Some d -> Unix.gettimeofday () >= d
+    | Some b -> Obs.Prof.seconds_since started >= b
   in
   let pool = Pool.global () in
   let batch_size = Stdlib.max 4 (2 * Pool.size pool) in
@@ -141,4 +140,4 @@ let run ?(space = Gen.default_space) ?(oracle = Oracle.Paper_properties)
   done;
   { trials_run = !trials_run;
     findings = List.rev !findings;
-    elapsed = Unix.gettimeofday () -. started }
+    elapsed = Obs.Prof.seconds_since started }

@@ -15,7 +15,9 @@
 
 type budget = {
   trials : int;
-  time_budget : float option;  (** wall-clock seconds; checked between batches *)
+  time_budget : float option;
+      (** seconds on the monotonic clock ({!Obs.Prof.now_ns});
+          checked between batches *)
 }
 
 type finding = {

@@ -166,34 +166,30 @@ let decision_divergence ~tag ~base_name ~other_name
            tag i base_name other_name)
   end
 
-(* Differential grading: the same scenario executed under every
-   kernel, memo tables bypassed so one kernel's run cannot serve
-   values another cached (a cross-kernel hit would hide exactly the
+(* Differential grading: the same scenario executed under both
+   kernels, memo tables bypassed so one kernel's run cannot serve
+   values the other cached (a cross-kernel hit would hide exactly the
    divergence this oracle exists to catch). The exact run is the
-   oracle; the filtered and staged runs must match it on what the
-   protocol decides: the per-process output polytopes and the
-   termination round. *)
+   oracle; the filtered run must match it on what the protocol
+   decides: the per-process output polytopes and the termination
+   round. *)
 let grade_kernel_equivalence ?trace scenario =
   let run_under ?trace m =
     Parallel.Memo.with_bypass (fun () ->
         Chc.Executor.run ?trace
           { scenario with Chc.Scenario.kernel = Some m })
   in
-  (* Only the exact (oracle) run records into [trace]: all runs share
-     the schedule, and appending several transcripts would corrupt the
+  (* Only the exact (oracle) run records into [trace]: both runs share
+     the schedule, and appending a second transcript would corrupt the
      pinned-schedule view the shrinker reads back. *)
   let exact = run_under ?trace Numeric.Kernel.Exact in
-  let against m =
-    let other = run_under m in
+  let filtered = run_under Numeric.Kernel.Filtered in
+  match
     decision_divergence ~tag:"kernel-divergence" ~base_name:"exact"
-      ~other_name:(Numeric.Kernel.to_string m) exact other
-  in
-  let rec first_divergence = function
-    | [] -> Pass
-    | m :: rest ->
-      (match against m with None -> first_divergence rest | Some msg -> Fail msg)
-  in
-  first_divergence [ Numeric.Kernel.Filtered; Numeric.Kernel.Staged ]
+      ~other_name:"filtered" exact filtered
+  with
+  | None -> Pass
+  | Some msg -> Fail msg
 
 (* Differential grading of the polytope engines: the same scenario
    executed with the from-scratch rebuild engine (the oracle) and with

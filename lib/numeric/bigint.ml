@@ -548,24 +548,6 @@ let num_bits = function
   | Small n -> int_bits n
   | Big b -> mag_num_bits b.mag
 
-(* Remainder modulo a single machine-word modulus 0 < m < 2^31:
-   Horner over the base-2^30 limbs, most significant first. The
-   running remainder stays below [m] < 2^31, so [(r lsl 30) lor limb]
-   stays below 2^61 — no native overflow. The result carries the sign
-   of [x] (OCaml [mod] semantics), magnitude in [0, m). *)
-let rem_int x m =
-  if m <= 0 || m >= 1 lsl 31 then
-    invalid_arg "Bigint.rem_int: modulus out of range"
-  else
-    match x with
-    | Small n -> n mod m
-    | Big b ->
-      let r = ref 0 in
-      for i = Array.length b.mag - 1 downto 0 do
-        r := ((!r lsl base_bits) lor b.mag.(i)) mod m
-      done;
-      if b.sign < 0 then - !r else !r
-
 let pow x k =
   if k < 0 then invalid_arg "Bigint.pow: negative exponent"
   else begin
@@ -629,9 +611,9 @@ let to_float_enclosure = function
    [(interval, e)]. The mantissa interval is built from the top two
    limbs only — the truncated tail contributes at most one mantissa
    unit — so it is always finite and sign-definite, even for values
-   whose float conversion saturates past DBL_MAX (~1024 bits). The
-   staged filter uses this to keep interval arithmetic meaningful on
-   the wide integers the lcm-scaled hull predicates produce. *)
+   whose float conversion saturates past DBL_MAX (~1024 bits).
+   Hullnd's float visibility screen uses this to image the wide
+   integers of lcm-scaled hull planes without overflowing. *)
 let to_scaled_enclosure = function
   | Small n ->
     let f = float_of_int n in

@@ -41,11 +41,6 @@ val to_scaled_enclosure : t -> Interval.t * int
     finite and a few ulp wide, whatever the bit-width of the value —
     the enclosure of choice past float range. *)
 
-val rem_int : t -> int -> int
-(** [rem_int x m] for [0 < m < 2^31] is [x mod m] (sign of [x],
-    magnitude below [m]) computed limb-wise without allocation.
-    @raise Invalid_argument if [m] is out of range. *)
-
 val of_string : string -> t
 (** Parses an optionally ['-']-prefixed decimal numeral.
     @raise Invalid_argument on malformed input. *)

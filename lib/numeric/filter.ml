@@ -6,14 +6,6 @@
    back to the exact rational computation — so every answer is exact,
    and the exact kernel ([CHC_KERNEL=exact]) remains a drop-in oracle.
 
-   Under [CHC_KERNEL=staged] an interval miss first tries {!Grid}'s
-   scaled-integer second stage (exact machine-int / double-word
-   evaluation, extended-exponent intervals, modular-residue zero
-   certificates — each gated by static width bounds); only calls that
-   stage also declines reach the exact rational fallback. Second-stage
-   certifications are counted separately ([int_hits]) so E13 can report
-   the per-stage breakdown.
-
    The fused predicates ([sign_of_dot_minus], the cross-product signs)
    are the point of this module: they enclose the whole expression
    without materializing intermediate [Q] values, which is where the
@@ -52,22 +44,9 @@ let exact_dot_minus a p b =
   done;
   Q.sign !acc
 
-(* sign(a . p - b) without building the intermediate rationals.
-
-   Under the staged kernel the interval stage is skipped outright: the
-   {!Grid} ladder subsumes it (its extended-exponent mantissa stage
-   carries the same 53-bit precision without the float-range blind
-   spot, and narrow operands take the exact machine-int stages), so an
-   interval pass would only ever duplicate work. On the d = 3 hot path
-   term products exceed float range anyway and the interval dot is a
-   guaranteed miss. *)
+(* sign(a . p - b) without building the intermediate rationals. *)
 let sign_of_dot_minus a p b =
-  if Kernel.staged () then begin
-    match Grid.dot_minus_sign a p b with
-    | Some s -> Kernel.int_hit Kernel.Dot; s
-    | None -> slow Kernel.Dot (fun () -> exact_dot_minus a p b)
-  end
-  else if not (Kernel.filtered ()) then exact_dot_minus a p b
+  if not (Kernel.filtered ()) then exact_dot_minus a p b
   else begin
     let acc = ref (I.neg (Q.enclosure b)) in
     for i = 0 to Array.length a - 1 do
@@ -84,16 +63,9 @@ let exact_cross2 o a b =
        (Q.mul (Q.sub a.(0) o.(0)) (Q.sub b.(1) o.(1)))
        (Q.mul (Q.sub a.(1) o.(1)) (Q.sub b.(0) o.(0))))
 
-(* sign((a - o) x (b - o)) — the 2-d orientation test. Staged mode
-   skips the interval stage for the same subsumption reason as
-   [sign_of_dot_minus]. *)
+(* sign((a - o) x (b - o)) — the 2-d orientation test. *)
 let sign_cross2 o a b =
-  if Kernel.staged () then begin
-    match Grid.cross2_sign o a b with
-    | Some s -> Kernel.int_hit Kernel.Cross; s
-    | None -> slow Kernel.Cross (fun () -> exact_cross2 o a b)
-  end
-  else if not (Kernel.filtered ()) then exact_cross2 o a b
+  if not (Kernel.filtered ()) then exact_cross2 o a b
   else begin
     let o0 = Q.enclosure o.(0) and o1 = Q.enclosure o.(1) in
     let iv =
@@ -111,12 +83,7 @@ let exact_cross2o u v =
 
 (* sign(u x v) for edge vectors already based at the origin. *)
 let sign_cross2o u v =
-  if Kernel.staged () then begin
-    match Grid.cross2o_sign u v with
-    | Some s -> Kernel.int_hit Kernel.Cross; s
-    | None -> slow Kernel.Cross (fun () -> exact_cross2o u v)
-  end
-  else if not (Kernel.filtered ()) then exact_cross2o u v
+  if not (Kernel.filtered ()) then exact_cross2o u v
   else begin
     let iv =
       I.sub
@@ -142,9 +109,6 @@ let () =
            [ { Obs.Metrics.metric = "chc_filter_hits_total";
                labels = [ ("pred", pred) ];
                value = Obs.Metrics.Counter s.Kernel.hits };
-             { Obs.Metrics.metric = "chc_filter_int_hits_total";
-               labels = [ ("pred", pred) ];
-               value = Obs.Metrics.Counter s.Kernel.int_hits };
              { Obs.Metrics.metric = "chc_filter_fallbacks_total";
                labels = [ ("pred", pred) ];
                value = Obs.Metrics.Counter s.Kernel.fallbacks } ])

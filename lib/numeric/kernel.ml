@@ -1,18 +1,12 @@
 (* Arithmetic-kernel selection and filter telemetry.
 
-   Three kernels compute the same exact results: [Exact] always runs
-   the arbitrary-precision rational path; [Filtered] first tries a
+   Two kernels compute the same exact results: [Exact] always runs the
+   arbitrary-precision rational path; [Filtered] first tries a
    certified float-interval filter and falls back to exact arithmetic
-   when the filter is inconclusive; [Staged] adds a scaled-integer
-   second stage between the two — exact machine-int/double-word
-   evaluation within statically checked width bounds, an
-   extended-exponent mantissa interval past float range, and a
-   modular-residue zero certificate (see Grid) — so true zeros and
-   overflowing magnitudes no longer force the rational fallback.
-   Every stage is conservative (it answers only when its result is
-   certified), so the kernels are observationally identical; the exact
-   kernel stays available as the oracle for differential testing (see
-   lib/fuzz).
+   when the filter is inconclusive. The filter answers only when its
+   result is certified, so the kernels are observationally identical;
+   the exact kernel stays available as the oracle for differential
+   testing (see lib/fuzz).
 
    Mode resolution: a per-domain override (installed by [with_mode])
    wins, otherwise the process-wide default, which is initialized from
@@ -24,23 +18,20 @@
    to *other* pool domains from outside any worker falls back to the
    process default — still correct, since kernels agree. *)
 
-type mode = Exact | Filtered | Staged
+type mode = Exact | Filtered
 
 let to_string = function
   | Exact -> "exact"
   | Filtered -> "filtered"
-  | Staged -> "staged"
 
 let parse s =
   match String.lowercase_ascii (String.trim s) with
   | "exact" -> Ok Exact
   | "filtered" -> Ok Filtered
-  | "staged" -> Ok Staged
   | other ->
     Error
       (Printf.sprintf
-         "unknown kernel %S (expected \"exact\", \"filtered\" or \"staged\")"
-         other)
+         "unknown kernel %S (expected \"exact\" or \"filtered\")" other)
 
 (* Same warn-and-clamp discipline as CHC_DOMAINS: a bad value gets an
    explicit warning naming the accepted modes, then the default. *)
@@ -68,10 +59,7 @@ let mode () =
   | Some m -> m
   | None -> Atomic.get default
 
-(* Stage-1 (float interval) filtering is active under both non-exact
-   kernels; the integer second stage only under [Staged]. *)
-let filtered () = mode () <> Exact
-let staged () = mode () = Staged
+let filtered () = mode () = Filtered
 
 let with_mode m f =
   let slot = Domain.DLS.get override_key in
@@ -99,16 +87,12 @@ let all_preds = [ Sign; Compare; Dot; Cross ]
 
 type cell = {
   mutable sign_hit : int;
-  mutable sign_int : int;
   mutable sign_fb : int;
   mutable cmp_hit : int;
-  mutable cmp_int : int;
   mutable cmp_fb : int;
   mutable dot_hit : int;
-  mutable dot_int : int;
   mutable dot_fb : int;
   mutable cross_hit : int;
-  mutable cross_int : int;
   mutable cross_fb : int;
 }
 
@@ -118,10 +102,8 @@ let cells : cell list ref = ref []
 let cell_key : cell Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       let c =
-        { sign_hit = 0; sign_int = 0; sign_fb = 0;
-          cmp_hit = 0; cmp_int = 0; cmp_fb = 0;
-          dot_hit = 0; dot_int = 0; dot_fb = 0;
-          cross_hit = 0; cross_int = 0; cross_fb = 0 }
+        { sign_hit = 0; sign_fb = 0; cmp_hit = 0; cmp_fb = 0;
+          dot_hit = 0; dot_fb = 0; cross_hit = 0; cross_fb = 0 }
       in
       Mutex.lock cells_m;
       cells := c :: !cells;
@@ -136,14 +118,6 @@ let hit p =
   | Dot -> c.dot_hit <- c.dot_hit + 1
   | Cross -> c.cross_hit <- c.cross_hit + 1
 
-let int_hit p =
-  let c = Domain.DLS.get cell_key in
-  match p with
-  | Sign -> c.sign_int <- c.sign_int + 1
-  | Compare -> c.cmp_int <- c.cmp_int + 1
-  | Dot -> c.dot_int <- c.dot_int + 1
-  | Cross -> c.cross_int <- c.cross_int + 1
-
 let fallback p =
   let c = Domain.DLS.get cell_key in
   match p with
@@ -152,7 +126,7 @@ let fallback p =
   | Dot -> c.dot_fb <- c.dot_fb + 1
   | Cross -> c.cross_fb <- c.cross_fb + 1
 
-type stat = { hits : int; int_hits : int; fallbacks : int }
+type stat = { hits : int; fallbacks : int }
 
 let stats_of p =
   Mutex.lock cells_m;
@@ -160,25 +134,23 @@ let stats_of p =
   Mutex.unlock cells_m;
   List.fold_left
     (fun acc c ->
-       let h, i, f =
+       let h, f =
          match p with
-         | Sign -> (c.sign_hit, c.sign_int, c.sign_fb)
-         | Compare -> (c.cmp_hit, c.cmp_int, c.cmp_fb)
-         | Dot -> (c.dot_hit, c.dot_int, c.dot_fb)
-         | Cross -> (c.cross_hit, c.cross_int, c.cross_fb)
+         | Sign -> (c.sign_hit, c.sign_fb)
+         | Compare -> (c.cmp_hit, c.cmp_fb)
+         | Dot -> (c.dot_hit, c.dot_fb)
+         | Cross -> (c.cross_hit, c.cross_fb)
        in
-       { hits = acc.hits + h; int_hits = acc.int_hits + i;
-         fallbacks = acc.fallbacks + f })
-    { hits = 0; int_hits = 0; fallbacks = 0 } cs
+       { hits = acc.hits + h; fallbacks = acc.fallbacks + f })
+    { hits = 0; fallbacks = 0 } cs
 
 let stats () = List.map (fun p -> (pred_name p, stats_of p)) all_preds
 
 let totals () =
   List.fold_left
     (fun acc (_, s) ->
-       { hits = acc.hits + s.hits; int_hits = acc.int_hits + s.int_hits;
-         fallbacks = acc.fallbacks + s.fallbacks })
-    { hits = 0; int_hits = 0; fallbacks = 0 } (stats ())
+       { hits = acc.hits + s.hits; fallbacks = acc.fallbacks + s.fallbacks })
+    { hits = 0; fallbacks = 0 } (stats ())
 
 let reset_stats () =
   Mutex.lock cells_m;
@@ -186,8 +158,8 @@ let reset_stats () =
   Mutex.unlock cells_m;
   List.iter
     (fun c ->
-       c.sign_hit <- 0; c.sign_int <- 0; c.sign_fb <- 0;
-       c.cmp_hit <- 0; c.cmp_int <- 0; c.cmp_fb <- 0;
-       c.dot_hit <- 0; c.dot_int <- 0; c.dot_fb <- 0;
-       c.cross_hit <- 0; c.cross_int <- 0; c.cross_fb <- 0)
+       c.sign_hit <- 0; c.sign_fb <- 0;
+       c.cmp_hit <- 0; c.cmp_fb <- 0;
+       c.dot_hit <- 0; c.dot_fb <- 0;
+       c.cross_hit <- 0; c.cross_fb <- 0)
     cs

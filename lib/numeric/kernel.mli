@@ -1,19 +1,15 @@
-(** Arithmetic-kernel selection: exact, filtered or staged.
+(** Arithmetic-kernel selection: exact or filtered.
 
-    All kernels produce identical results. [Filtered] answers
+    Both kernels produce identical results. [Filtered] answers
     sign/comparison predicates from a certified float-interval filter
-    when possible and falls back to exact rationals otherwise;
-    [Staged] interposes a scaled-integer second stage (exact
-    machine-int/double-word evaluation under static width bounds, an
-    extended-exponent mantissa interval, and a modular-residue zero
-    certificate — see {!Grid}) before the rational fallback; [Exact]
-    always runs the rational path. The process default comes from
-    [CHC_KERNEL=exact|filtered|staged] (default [filtered]; an
-    unrecognized value warns and clamps) and can be overridden per
-    call-tree with {!with_mode} (domain-local, so concurrent fuzz
-    trials on pool workers don't race). *)
+    when possible and falls back to exact rationals otherwise; [Exact]
+    always runs the rational path and is kept as the differential
+    oracle. The process default comes from [CHC_KERNEL=exact|filtered]
+    (default [filtered]; an unrecognized value warns and clamps) and
+    can be overridden per call-tree with {!with_mode} (domain-local,
+    so concurrent fuzz trials on pool workers don't race). *)
 
-type mode = Exact | Filtered | Staged
+type mode = Exact | Filtered
 
 val to_string : mode -> string
 val parse : string -> (mode, string) result
@@ -28,11 +24,7 @@ val mode : unit -> mode
     override if any, otherwise the process default. *)
 
 val filtered : unit -> bool
-(** [mode () <> Exact] — the stage-1 interval filter runs under both
-    the filtered and staged kernels; the hot-path guard in {!Filter}. *)
-
-val staged : unit -> bool
-(** [mode () = Staged] — whether the integer second stage engages. *)
+(** [mode () = Filtered] — the hot-path guard in {!Filter}. *)
 
 val with_mode : mode -> (unit -> 'a) -> 'a
 (** Run a thunk under a domain-local mode override. Nested uses
@@ -50,15 +42,10 @@ val pred_name : pred -> string
 val hit : pred -> unit
 (** The interval filter answered the predicate. *)
 
-val int_hit : pred -> unit
-(** The staged integer stage answered after the interval filter could
-    not (exact int/double-word result, extended-exponent interval, or
-    residue zero certificate). *)
-
 val fallback : pred -> unit
-(** Every filter stage was inconclusive; exact arithmetic ran. *)
+(** The interval filter was inconclusive; exact arithmetic ran. *)
 
-type stat = { hits : int; int_hits : int; fallbacks : int }
+type stat = { hits : int; fallbacks : int }
 
 val stats : unit -> (string * stat) list
 (** One entry per predicate class, summed over all domains. *)

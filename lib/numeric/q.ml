@@ -4,29 +4,15 @@
    [enclosure]); [Interval.unset] marks "not yet computed". The cache
    is write-once with a deterministic value, so a concurrent double
    computation by two domains is a benign race (both store the same
-   word-sized pointer).
-
-   [rs] is the staged kernel's modular-residue slot, owned by
-   {!Grid}: empty until that stage first touches the value, then an
-   array whose slot 0 counts the filled residues. Fills are
-   deterministic too, so the same benign-race argument applies. *)
+   word-sized pointer). *)
 
 type t = {
   num : Bigint.t;
   den : Bigint.t;
   mutable iv : Interval.t;
-  mutable rs : int array;
-  mutable sc : Interval.t;
-  mutable sce : int;
 }
 
-let cons num den =
-  { num; den; iv = Interval.unset; rs = [||]; sc = Interval.unset; sce = 0 }
-
-let set_residues x rs = x.rs <- rs
-(* Publish the exponent before the enclosure: a racing reader that
-   sees a non-unset [sc] must also see its matching [sce]. *)
-let set_scaled_enclosure x sc sce = x.sce <- sce; x.sc <- sc
+let cons num den = { num; den; iv = Interval.unset }
 
 let make num den =
   let s = Bigint.sign den in
@@ -101,7 +87,6 @@ let ering_track x =
   (match Weak.get ring.slots ring.pos with
    | Some old ->
      old.iv <- Interval.unset;
-     old.sc <- Interval.unset;
      st.evictions <- st.evictions + 1
    | None -> ());
   Weak.set ring.slots ring.pos (Some x);
@@ -140,16 +125,6 @@ let compare a b =
     Bigint.is_small a.num && Bigint.is_small a.den && Bigint.is_small b.num
     && Bigint.is_small b.den
   then compare_exact a b
-  else if
-    (* Staged second stage for comparisons: the normalization invariant
-       makes structural equality an exact equality test, and measured
-       interval-filter misses on the hull paths are overwhelmingly
-       exact ties of identical offsets — caught here in O(limbs)
-       without a cross product. *)
-    Kernel.staged () && Bigint.equal a.num b.num && Bigint.equal a.den b.den
-  then begin
-    Kernel.int_hit Kernel.Compare; 0
-  end
   else if Kernel.filtered () then begin
     let ia = enclosure a and ib = enclosure b in
     if ia.Interval.lo > ib.Interval.hi then begin

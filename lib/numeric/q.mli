@@ -11,18 +11,6 @@ type t = private {
   mutable iv : Interval.t;
       (** Lazily cached certified float enclosure; [Interval.unset]
           until first demanded. Read it through {!enclosure}. *)
-  mutable rs : int array;
-      (** Modular-residue cache slot owned by {!Grid}: [[||]] until the
-          staged kernel's residue stage touches the value, then slot 0
-          holds the filled count and slot [i+1] the value's residue
-          modulo [Grid.primes.(i)] ([-1] when that prime divides the
-          denominator). Mutate it through {!set_residues} only. *)
-  mutable sc : Interval.t;
-      (** Extended-exponent enclosure cache owned by {!Grid}: the exact
-          value lies in [sc] scaled by [2^sce]. [Interval.unset] until
-          the staged kernel's mantissa stage first touches the value.
-          Mutate through {!set_scaled_enclosure} only. *)
-  mutable sce : int;
 }
 
 (** {1 Construction} *)
@@ -57,9 +45,7 @@ val compare : t -> t -> int
 (** Exact three-way comparison. Under the filtered kernel
     ({!Kernel.filtered}), big operands are first compared through their
     certified float enclosures; the exact cross-product comparison runs
-    only when the enclosures overlap, so the result is always exact.
-    The staged kernel additionally decides exact ties by structural
-    equality of the normalized forms before falling back. *)
+    only when the enclosures overlap, so the result is always exact. *)
 
 val enclosure : t -> Interval.t
 (** Certified float enclosure of the exact value (cached after the
@@ -75,16 +61,6 @@ val set_enclosure_cache_capacity : int -> unit
 
 val enclosure_cache_stats : unit -> int * int
 (** [(inserts, evictions)] across all domains since startup. *)
-
-val set_residues : t -> int array -> unit
-(** Install or reset (with [[||]]) the {!Grid} residue slot [rs].
-    Exposed because the record is private; only {!Grid} should call
-    this. *)
-
-val set_scaled_enclosure : t -> Interval.t -> int -> unit
-(** Install the {!Grid} extended-exponent enclosure cache [sc]/[sce].
-    Exposed because the record is private; only {!Grid} should call
-    this. *)
 
 val hash : t -> int
 (** Hash of the canonical normalized form: [equal x y] implies

@@ -44,6 +44,7 @@ let key : buffer Domain.DLS.key =
 
 let now = Monotonic_clock.now
 let now_ns () = now ()
+let seconds_since t0 = Int64.to_float (Int64.sub (now ()) t0) /. 1e9
 
 let record b phase name attrs =
   let t = now () in

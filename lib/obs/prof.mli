@@ -32,6 +32,10 @@ val now_ns : unit -> int64
 (** The profiler's clock (CLOCK_MONOTONIC, ns) — for callers measuring
     {!slice} intervals themselves. *)
 
+val seconds_since : int64 -> float
+(** Seconds elapsed on {!now_ns}'s clock since an earlier reading —
+    the interval timer for anything that must not step under NTP. *)
+
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f ()] inside a span. Exceptions still
     close the span (and re-raise), so begin/end events always match.

@@ -26,7 +26,7 @@ let write_entries buf entries =
     entries
 
 let read_entries r =
-  let count = Wire.read_varint r in
+  let count = Wire.read_count r in
   List.init count (fun _ ->
       let origin = Wire.read_varint r in
       let v = Wire.read_vec r in
@@ -116,7 +116,7 @@ let write_reason buf s =
   String.iter (fun c -> Wire.write_varint buf (Char.code c)) s
 
 let read_reason r =
-  let len = Wire.read_varint r in
+  let len = Wire.read_count r in
   String.init len (fun _ -> Char.chr (Wire.read_varint r land 0xff))
 
 let tag_submit = 0
@@ -146,7 +146,7 @@ let read_request r =
     let eps = Wire.read_q r in
     let lo = Wire.read_q r in
     let hi = Wire.read_q r in
-    let count = Wire.read_varint r in
+    let count = Wire.read_count r in
     let inputs = Array.init count (fun _ -> Wire.read_vec r) in
     Submit { id; n; f; d; eps; lo; hi; inputs }
   end

@@ -62,6 +62,10 @@ type response =
 
 val write_request : Buffer.t -> request -> unit
 val read_request : Codec.Wire.reader -> request
+(** @raise Malformed on an unknown tag;
+    @raise Codec.Wire.Malformed on truncated fields or on a count
+    larger than the rest of the payload ({!Codec.Wire.read_count}). *)
+
 val write_response : Buffer.t -> response -> unit
 val read_response : Codec.Wire.reader -> response
 

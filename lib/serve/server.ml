@@ -146,7 +146,7 @@ let grade o =
 
 (* Every duration below is read off the monotonic clock: wall-clock
    time can step backwards under NTP and make a latency negative. *)
-let seconds_since ns = Int64.to_float (Int64.sub (Obs.Prof.now_ns ()) ns) /. 1e9
+let seconds_since = Obs.Prof.seconds_since
 
 type running = {
   rjob : job;

@@ -53,7 +53,9 @@ let percentile samples p =
    pump, given (submitted so far, completed so far); the loop runs
    until [total] outcomes have arrived. *)
 let run_phase ?on_pump ~server ~label ~total ~refill () =
-  let started = Unix.gettimeofday () in
+  (* The monotonic clock the server times latencies with, so a
+     latency can never exceed the phase's wall time. *)
+  let started = Obs.Prof.now_ns () in
   let latencies = ref [] in
   let failures = ref [] in
   let max_inflight = ref 0 in
@@ -76,7 +78,7 @@ let run_phase ?on_pump ~server ~label ~total ~refill () =
     completed := !completed + List.length outcomes;
     (match on_pump with None -> () | Some f -> f ())
   done;
-  let wall_s = Unix.gettimeofday () -. started in
+  let wall_s = Obs.Prof.seconds_since started in
   { label;
     instances = !completed;
     wall_s;

@@ -42,6 +42,8 @@ type phase = {
   label : string;
   instances : int;       (** completed during the phase *)
   wall_s : float;
+      (** phase duration on the monotonic clock the server times
+          latencies with, so every latency is at most [wall_s] *)
   throughput_ips : float;  (** instances / wall_s *)
   latency_p50_s : float;
   latency_p99_s : float;

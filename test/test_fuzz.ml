@@ -81,6 +81,32 @@ let test_scenario_rejects_bad_plan () =
   | Ok _ -> Alcotest.fail "unknown crash-plan kind must be rejected"
   | Error _ -> ()
 
+(* The kernel field names one of the two kernels. An artifact saved by
+   a build that still had the staged kernel must fail to decode, not
+   replay under a kernel other than the one that graded it. *)
+let test_scenario_rejects_staged_kernel () =
+  let t =
+    { (rich_scenario ()) with
+      Scenario.kernel = Some Numeric.Kernel.Filtered }
+  in
+  let s = Scenario.to_string t in
+  let staged =
+    replace_sub s ~sub:{|"kernel":"filtered"|} ~by:{|"kernel":"staged"|}
+  in
+  Alcotest.(check bool) "fixture is a v2 scenario" true
+    (find_sub staged {|"version":2|} <> None);
+  match Scenario.of_string staged with
+  | Ok _ -> Alcotest.fail "kernel \"staged\" must be rejected"
+  | Error (Scenario.Invalid msg) ->
+    List.iter
+      (fun word ->
+         Alcotest.(check bool) ("error names " ^ word) true
+           (find_sub msg word <> None))
+      [ "staged"; "exact"; "filtered" ]
+  | Error e ->
+    Alcotest.failf "expected an Invalid error, got: %s"
+      (Scenario.error_to_string e)
+
 (* --- scheduler registry ----------------------------------------------- *)
 
 let check_spec_roundtrip spec =
@@ -226,7 +252,9 @@ let suite =
       [ Alcotest.test_case "exact roundtrip" `Quick test_scenario_roundtrip;
         Alcotest.test_case "version guard" `Quick test_scenario_version_guard;
         Alcotest.test_case "bad crash plan rejected" `Quick
-          test_scenario_rejects_bad_plan ] );
+          test_scenario_rejects_bad_plan;
+        Alcotest.test_case "staged kernel rejected" `Quick
+          test_scenario_rejects_staged_kernel ] );
     ( "fuzz scheduler registry",
       [ Alcotest.test_case "spec roundtrips" `Quick test_registry_roundtrips;
         Alcotest.test_case "unknown name" `Quick test_registry_unknown;

@@ -433,8 +433,8 @@ let cli_common_errors () =
   (match Chc.Cli.set_kernel (Some "frobnicate") with
    | Error msg ->
      Alcotest.(check string) "--kernel format"
-       "--kernel: unknown kernel \"frobnicate\" (expected \"exact\", \
-        \"filtered\" or \"staged\")" msg
+       "--kernel: unknown kernel \"frobnicate\" (expected \"exact\" or \
+        \"filtered\")" msg
    | Ok () -> Alcotest.fail "bad kernel accepted")
 
 let suite =
