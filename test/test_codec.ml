@@ -70,6 +70,57 @@ let test_recanonicalization () =
   Alcotest.(check int) "canonicalized to 4 vertices" 4
     (List.length (Polytope.vertices p))
 
+let varints xs =
+  let buf = Buffer.create 16 in
+  List.iter (Wire.write_varint buf) xs;
+  Buffer.contents buf
+
+(* Nine varint bytes with every payload bit set read back as -1. *)
+let varint_minus_one = String.make 8 '\xff' ^ "\x7f"
+
+(* Every element a count announces takes at least one byte, so a count
+   may equal the unread bytes but never exceed them. *)
+let test_read_count () =
+  let count bytes = Wire.read_count (Wire.reader_of_string bytes) in
+  let malformed name bytes =
+    match count bytes with
+    | n -> Alcotest.failf "%s: read as %d" name n
+    | exception Wire.Malformed _ -> ()
+  in
+  Alcotest.(check int) "count = unread bytes" 3 (count (varints [ 3 ] ^ "abc"));
+  Alcotest.(check int) "zero count at the end" 0 (count (varints [ 0 ]));
+  malformed "count above unread bytes" (varints [ 4 ] ^ "abc");
+  malformed "count 2^55" (varints [ 1 lsl 55 ] ^ "abc");
+  malformed "negative count" (varint_minus_one ^ "abc")
+
+(* Decoders reject a hostile count before sizing anything from it, so
+   the attempt allocates next to nothing instead of a count-sized
+   array or an allocation failure. *)
+let test_hostile_counts () =
+  let bigint r = ignore (Wire.read_bigint r : B.t) in
+  let polytope r = ignore (Wire.read_polytope r : Polytope.t) in
+  List.iter
+    (fun (name, bytes, decode) ->
+       let before = Gc.allocated_bytes () in
+       let outcome =
+         match decode (Wire.reader_of_string bytes) with
+         | () -> "decoded"
+         | exception Wire.Malformed _ -> "malformed"
+         | exception e -> Printexc.to_string e
+       in
+       let kib = (Gc.allocated_bytes () -. before) /. 1024. in
+       Alcotest.(check string) (name ^ ": outcome") "malformed" outcome;
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: %.1f KiB allocated (< 64)" name kib) true
+         (kib < 64.))
+    [ (* positive sign byte, limb count, one limb *)
+      ("bigint limb count 2^55", "\002" ^ varints [ 1 lsl 55; 1 ], bigint);
+      ("bigint limb count -1", "\002" ^ varint_minus_one ^ "\001", bigint);
+      (* dimension 1, vertex count, one 1-vector *)
+      ("polytope vertex count 2^55",
+       varints [ 1; 1 lsl 55 ] ^ Wire.vec_to_string (Vec.of_ints [ 1 ]),
+       polytope) ]
+
 let gen_q_big =
   let open QCheck.Gen in
   let* n = -1000000000 -- 1000000000 in
@@ -114,4 +165,7 @@ let suite =
         Alcotest.test_case "malformed input" `Quick test_malformed;
         Alcotest.test_case "re-canonicalization" `Quick test_recanonicalization ]
       @ List.map Gen.qtest
-          [ prop_q_roundtrip; prop_bigint_roundtrip; prop_polytope_roundtrip ] ) ]
+          [ prop_q_roundtrip; prop_bigint_roundtrip; prop_polytope_roundtrip ]
+      @ [ Alcotest.test_case "read_count bounds" `Quick test_read_count;
+          Alcotest.test_case "hostile counts are Malformed" `Quick
+            test_hostile_counts ] ) ]
