@@ -449,9 +449,20 @@ let listen_cmd kernel poly shards fuel wal_dir telem port admin_port limit =
     let owner : (int, Unix.file_descr) Hashtbl.t = Hashtbl.create 256 in
     let buf = Bytes.create 65536 in
     let decided = ref 0 in
+    (* Out of descriptors (EMFILE/ENFILE on accept), the listeners stay
+       out of the select set until a descriptor is released: a client
+       disconnects or a decided instance closes its WAL. A readable
+       listener that cannot be accepted from would spin the loop. *)
+    let accepting = ref true in
+    let release () =
+      if not !accepting then Obs.Log.info "accept_resumed" [];
+      accepting := true;
+      Option.iter Admin.resume_accepting admin
+    in
     let drop fd =
       Hashtbl.remove clients fd;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      release ()
     in
     let respond fd resp =
       let b = Buffer.create 256 in
@@ -471,6 +482,9 @@ let listen_cmd kernel poly shards fuel wal_dir telem port admin_port limit =
            (match Server.submit server job with
             | () -> Hashtbl.replace owner id fd
             | exception Invalid_argument reason ->
+              respond fd (Frame.Rejected { id; reason })
+            | exception Obs.Sink.Write_error { path; message } ->
+              let reason = "wal unavailable: " ^ path ^ ": " ^ message in
               respond fd (Frame.Rejected { id; reason })))
     in
     let feed_frames fd dec data =
@@ -516,7 +530,8 @@ let listen_cmd kernel poly shards fuel wal_dir telem port admin_port limit =
     in
     let finished () = limit > 0 && !decided >= limit in
     while not (finished ()) do
-      let fds = sock :: Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [] in
+      let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [] in
+      let fds = if !accepting then sock :: fds else fds in
       let fds =
         match admin with None -> fds | Some a -> Admin.fds a @ fds
       in
@@ -530,11 +545,19 @@ let listen_cmd kernel poly shards fuel wal_dir telem port admin_port limit =
            | Some a when Admin.owns a fd -> Admin.handle_ready a fd
            | _ ->
              if fd == sock then begin
-               let cfd, _ = Unix.accept sock in
-               Hashtbl.replace clients cfd Fresh
+               match Admin.accept sock with
+               | `Client cfd -> Hashtbl.replace clients cfd Fresh
+               | `Refused -> ()
+               | `Exhausted ->
+                 accepting := false;
+                 Obs.Log.warn "accept_paused"
+                   [ ("reason", Obs.Log.S "out of file descriptors");
+                     ("clients", Obs.Log.I (Hashtbl.length clients)) ]
              end
              else if Hashtbl.mem clients fd then serve_client fd)
         ready;
+      let outcomes = Server.pump server in
+      if outcomes <> [] && wal_dir <> None then release ();
       List.iter
         (fun (o : Server.outcome) ->
            incr decided;
@@ -545,7 +568,7 @@ let listen_cmd kernel poly shards fuel wal_dir telem port admin_port limit =
               respond fd (Server.response_of_outcome o)
             | Some _ | None -> ());
            Hashtbl.remove owner id)
-        (Server.pump server);
+        outcomes;
       Obs.Log.flush ()
     done;
     Hashtbl.iter

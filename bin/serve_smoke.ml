@@ -13,7 +13,14 @@
       plane (/metrics, /statusz, /healthz — protocol-hijacked on the
       same port) MID-RUN while the daemon still owes decisions, check
       every Decision against an in-process re-execution of the same
-      inputs, and parse every line of the daemon's JSONL log. *)
+      inputs, and parse every line of the daemon's JSONL log;
+   4. a second daemon decides a wave of 100 instances while 1,030 idle
+      connections are held open — more than select(2) can watch — and
+      serves one more instance after they close;
+   5. a --wal-dir daemon limited to 64 descriptors answers every submit
+      of a burst with a Decision or a Rejected, pauses accepting without
+      spinning while idle connections exhaust its descriptors, reports
+      the WAL error on /healthz, and decides again once they close. *)
 
 module Q = Numeric.Q
 module Frame = Serve.Frame
@@ -101,10 +108,16 @@ let recv_response sock dec =
   in
   go ()
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
 (* One admin scrape over its own connection on the daemon's frame
    port: the first bytes being ASCII "GET " must hijack the connection
-   into the HTTP responder. Reads to EOF (Connection: close). *)
-let scrape port path =
+   into the HTTP responder. Reads to EOF (Connection: close); [Error]
+   carries the I/O error and the bytes read before it. *)
+let try_scrape port path =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -116,19 +129,31 @@ let scrape port path =
        let buf = Bytes.create 8192 in
        let rec go () =
          match Unix.read fd buf 0 (Bytes.length buf) with
-         | 0 -> ()
+         | 0 -> Ok (Buffer.contents b)
          | k -> Buffer.add_subbytes b buf 0 k; go ()
          | exception Unix.Unix_error (e, _, _) ->
-           fail "scrape %s died (%s) after %d bytes" path
-             (Unix.error_message e) (Buffer.length b)
+           Error (Unix.error_message e, Buffer.length b)
        in
-       go ();
-       Buffer.contents b)
+       go ())
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+let scrape port path =
+  match try_scrape port path with
+  | Ok resp -> resp
+  | Error (e, k) -> fail "scrape %s died (%s) after %d bytes" path e k
+
+(* Right after many clients close, the daemon may still hold their
+   descriptors and refuse a new connection it could not watch; retry
+   until one is answered. *)
+let scrape_answered port path =
+  let rec go tries =
+    match try_scrape port path with
+    | Ok resp when contains ~sub:"HTTP/1.0 " resp -> resp
+    | Ok _ | Error _ when tries > 0 ->
+      Unix.sleepf 0.1;
+      go (tries - 1)
+    | Ok _ | Error _ -> fail "scrape %s never answered" path
+  in
+  go 50
 
 let body_of resp =
   let rec find i =
@@ -187,32 +212,106 @@ let hostile_client port =
        (String.length frame))
     true
 
+(* Submit requests for [total] instances cycling through [mix]; the
+   daemon-side job (crash-free, via job_of_request) is what a reference
+   execution must run. *)
+let requests ~seed ~mix total =
+  let rng = Runtime.Rng.create seed in
+  let mix = Array.of_list mix in
+  List.init total (fun id ->
+      let shape = mix.(id mod Array.length mix) in
+      let j = Workload.job ~rng ~id shape in
+      Frame.Submit
+        { id; n = shape.Workload.n; f = shape.Workload.f;
+          d = shape.Workload.d; eps = Q.of_ints 1 100; lo = Q.zero;
+          hi = Q.one; inputs = j.Server.inputs })
+
+let send sock req =
+  let b = Buffer.create 256 in
+  Frame.write_request b req;
+  let frame = Frame.encode_frame (Buffer.contents b) in
+  let n = Unix.write_substring sock frame 0 (String.length frame) in
+  if n <> String.length frame then fail "short write to daemon"
+
+let connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* Daemons spawned and not yet reaped. A failing check exits with them
+   still running, where they would hold the smoke's output open (or
+   spin, in a regression), so they are killed on the way out. *)
+let live_daemons = ref []
+
+let () =
+  at_exit (fun () ->
+      List.iter
+        (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+        !live_daemons)
+
+(* Run [prog args] with its stdout piped back, without a shell in
+   between, so the recorded pid is the program's. *)
+let spawn prog args =
+  let ic = Unix.open_process_args_in prog (Array.of_list (prog :: args)) in
+  live_daemons := Unix.process_in_pid ic :: !live_daemons;
+  ic
+
+(* Read the daemon's stdout to EOF — it prints its exit banner after
+   serving --limit instances — then reap it; true iff the banner came
+   and it exited 0. Draining first keeps its final writes from racing
+   our side of the pipe closing. *)
+let await_exit daemon_out =
+  let exited = ref false in
+  (try
+     while true do
+       let line = input_line daemon_out in
+       if contains ~sub:"instance(s) decided, exiting" line then
+         exited := true
+     done
+   with End_of_file -> ());
+  check "daemon printed its exit banner" !exited;
+  let pid = Unix.process_in_pid daemon_out in
+  live_daemons := List.filter (( <> ) pid) !live_daemons;
+  match Unix.close_process_in daemon_out with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> fail "daemon exited with %d" c
+  | Unix.WSIGNALED s | Unix.WSTOPPED s -> fail "daemon killed by signal %d" s
+
+let log_events log_file =
+  let ic = open_in log_file in
+  let events = ref [] in
+  (try
+     while true do
+       match Codec.Json.of_string (input_line ic) with
+       | Ok j ->
+         (match Codec.Json.member "event" j with
+          | Some (Codec.Json.Str e) -> events := e :: !events
+          | _ -> ())
+       | Error _ -> ()
+     done
+   with End_of_file -> ());
+  close_in ic;
+  !events
+
+let metric_value exposition name =
+  String.split_on_char '\n' exposition
+  |> List.find_map (fun line ->
+      match String.split_on_char ' ' line with
+      | [ n; v ] when n = name -> float_of_string_opt v
+      | _ -> None)
+
 let socket_leg daemon_exe =
   let total = 200 in
   let log_file = Filename.temp_file "chc_serve_smoke" ".jsonl" in
   let daemon_out =
-    Unix.open_process_in
-      (Filename.quote_command daemon_exe
-         [ "listen"; "--port"; "0"; "--limit"; string_of_int total;
-           "--log"; log_file; "--log-level"; "info" ])
+    spawn daemon_exe
+      [ "listen"; "--port"; "0"; "--limit"; string_of_int total;
+        "--log"; log_file; "--log-level"; "info" ]
   in
   let port = read_port daemon_out in
   Printf.printf "ok: daemon up on port %d\n%!" port;
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let rng = Runtime.Rng.create 99 in
-  let mix = Array.of_list Workload.default_mix in
-  (* requests as the daemon sees them; the daemon-side job (crash-free,
-     via job_of_request) is what the reference execution must run *)
-  let requests =
-    List.init total (fun id ->
-        let shape = mix.(id mod Array.length mix) in
-        let j = Workload.job ~rng ~id shape in
-        Frame.Submit
-          { id; n = shape.Workload.n; f = shape.Workload.f;
-            d = shape.Workload.d; eps = Q.of_ints 1 100; lo = Q.zero;
-            hi = Q.one; inputs = j.Server.inputs })
-  in
+  let sock = connect port in
+  let requests = requests ~seed:99 ~mix:Workload.default_mix total in
   let jobs =
     List.map
       (fun req ->
@@ -221,13 +320,7 @@ let socket_leg daemon_exe =
          | Error reason -> fail "smoke request rejected locally: %s" reason)
       requests
   in
-  let send req =
-    let b = Buffer.create 256 in
-    Frame.write_request b req;
-    let frame = Frame.encode_frame (Buffer.contents b) in
-    let n = Unix.write_substring sock frame 0 (String.length frame) in
-    if n <> String.length frame then fail "short write to daemon"
-  in
+  let send = send sock in
   (* the daemon must answer every submission with a Decision, and the
      decided polytope must equal an in-process execution of the same
      instance (both sides are deterministic FIFO loopbacks) *)
@@ -290,22 +383,7 @@ let socket_leg daemon_exe =
      && contains ~sub:"\"status\":\"ok\"" (body_of health));
   read_responses (total - total / 4);
   Unix.close sock;
-  (* drain the daemon's stdout to EOF (it must print the exit banner
-     after serving --limit instances) before reaping it, so its final
-     writes never race our side of the pipe closing *)
-  let exited = ref false in
-  (try
-     while true do
-       let line = input_line daemon_out in
-       if contains ~sub:"instance(s) decided, exiting" line then
-         exited := true
-     done
-   with End_of_file -> ());
-  check "daemon printed its exit banner" !exited;
-  (match Unix.close_process_in daemon_out with
-   | Unix.WEXITED 0 -> ()
-   | Unix.WEXITED c -> fail "daemon exited with %d" c
-   | Unix.WSIGNALED s | Unix.WSTOPPED s -> fail "daemon killed by signal %d" s);
+  await_exit daemon_out;
   check "all submissions answered" (Hashtbl.length got = total);
   let reference = Server.create ~shards:1 ~fuel:64 () in
   List.iter (Server.submit reference) jobs;
@@ -346,6 +424,173 @@ let socket_leg daemon_exe =
        !lines !decides)
     (!lines >= total && !decides = total)
 
+(* --- leg 4: idle connections past select(2)'s reach ------------------- *)
+
+(* [k] connections that never send a byte, paced below the daemon's
+   listen backlog (64): a full accept queue drops SYNs, and each
+   retransmit stalls connect for a second. *)
+let open_idle port k =
+  List.init k (fun i ->
+      if i mod 48 = 47 then Unix.sleepf 0.02;
+      match connect port with
+      | fd -> fd
+      | exception Unix.Unix_error (e, _, _) ->
+        fail "idle connection %d of %d: %s (raise ulimit -n)" i k
+          (Unix.error_message e))
+
+(* select(2) cannot watch a descriptor at or past FD_SETSIZE (1024).
+   With 1,030 idle connections held open, the daemon must close each
+   one it cannot watch as it accepts it (or, with a lower descriptor
+   limit, pause accepting), and still decide every instance of wave 1
+   on the connection opened first. *)
+let idle_flood_leg daemon_exe =
+  let wave = 100 and idle = 1030 in
+  let log_file = Filename.temp_file "chc_serve_smoke" ".jsonl" in
+  let daemon_out =
+    spawn daemon_exe
+      [ "listen"; "--port"; "0"; "--limit"; string_of_int (wave + 1);
+        "--log"; log_file; "--log-level"; "info" ]
+  in
+  let port = read_port daemon_out in
+  let sock = connect port in
+  let idlers = open_idle port idle in
+  let reqs = requests ~seed:99 ~mix:Workload.default_mix (wave + 1) in
+  let wave1, last =
+    List.partition (fun (Frame.Submit { id; _ }) -> id < wave) reqs
+  in
+  List.iter (send sock) wave1;
+  let dec = Frame.decoder () in
+  for i = 1 to wave do
+    match recv_response sock dec with
+    | Frame.Decision _ -> ()
+    | Frame.Rejected { id; reason } ->
+      fail "idle flood: instance %d rejected: %s" id reason
+    | exception Unix.Unix_error (e, _, _) ->
+      fail "idle flood: response %d/%d: %s" i wave (Unix.error_message e)
+  done;
+  check
+    (Printf.sprintf "wave 1 decided with %d idle connections held" idle)
+    true;
+  List.iter Unix.close idlers;
+  let refused =
+    Option.value ~default:0.
+      (metric_value (scrape_answered port "/metrics")
+         "chc_serve_connections_refused_total")
+  in
+  (* one more instance after the flood: the daemon keeps serving, and
+     reaching --limit makes it exit and flush its log *)
+  List.iter (send sock) last;
+  (match recv_response sock dec with
+   | Frame.Decision _ -> ()
+   | Frame.Rejected { reason; _ } -> fail "post-flood instance: %s" reason);
+  Unix.close sock;
+  await_exit daemon_out;
+  let events = log_events log_file in
+  Sys.remove log_file;
+  check
+    (Printf.sprintf "connections past the daemon's reach refused (%.0f) or \
+                     accepting paused"
+       refused)
+    (refused > 0. || List.mem "accept_paused" events)
+
+(* --- leg 5: a WAL daemon out of descriptors ------------------------- *)
+
+(* Seconds of CPU the process has used, from /proc (None elsewhere). *)
+let cpu_s pid =
+  match open_in (Printf.sprintf "/proc/%d/stat" pid) with
+  | exception Sys_error _ -> None
+  | ic ->
+    let line = input_line ic in
+    close_in ic;
+    (* utime and stime are fields 14 and 15, in clock ticks (100 per
+       second on Linux). Field 2, the command name, may hold spaces, so
+       fields are counted from its closing parenthesis. *)
+    let i = String.rindex line ')' in
+    let fields =
+      String.split_on_char ' '
+        (String.sub line (i + 2) (String.length line - i - 2))
+    in
+    let ticks k = float_of_string (List.nth fields (k - 3)) in
+    Some ((ticks 14 +. ticks 15) /. 100.)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* A --wal-dir daemon limited to 64 descriptors. Each live instance
+   holds n WAL files, so a burst of submits runs it out: every submit
+   must still be answered, with a Decision or a Rejected. Idle
+   connections past the limit must pause accepting without spinning
+   the select loop, and once they close the daemon must serve again. *)
+let wal_exhaustion_leg daemon_exe =
+  let burst = 30 and limit = 40 in
+  let wal_dir = Filename.temp_file "chc_serve_smoke" ".wal" in
+  Sys.remove wal_dir;
+  let log_file = Filename.temp_file "chc_serve_smoke" ".jsonl" in
+  (* sh execs the daemon, so the pid is the daemon's *)
+  let daemon_out =
+    spawn "sh"
+      [ "-c"; "ulimit -n 64; exec \"$0\" \"$@\""; daemon_exe; "listen";
+        "--port"; "0"; "--wal-dir"; wal_dir; "--limit"; string_of_int limit;
+        "--log"; log_file; "--log-level"; "info" ]
+  in
+  let pid = Unix.process_in_pid daemon_out in
+  let port = read_port daemon_out in
+  let sock = connect port in
+  let dec = Frame.decoder () in
+  let shape = { Workload.n = 4; f = 1; d = 1; recover = false } in
+  let reqs = Array.of_list (requests ~seed:5 ~mix:[ shape ] (burst + limit)) in
+  let answer () =
+    match recv_response sock dec with
+    | Frame.Decision _ -> `Decided
+    | Frame.Rejected _ -> `Rejected
+    | exception Unix.Unix_error (e, _, _) ->
+      fail "descriptor exhaustion: %s" (Unix.error_message e)
+  in
+  for id = 0 to burst - 1 do send sock reqs.(id) done;
+  let answers = List.init burst (fun _ -> answer ()) in
+  let decided = List.length (List.filter (( = ) `Decided) answers) in
+  check
+    (Printf.sprintf "burst of %d under 64 descriptors: %d decided, %d rejected"
+       burst decided (burst - decided))
+    (decided >= 1 && decided < burst);
+  (* idle connections past the limit: accepting pauses; the loop must
+     sleep in select, not spin on the readable listener *)
+  let idlers = open_idle port 80 in
+  Unix.sleepf 0.3;
+  (match cpu_s pid with
+   | None -> print_endline "note: no /proc, spin check skipped"
+   | Some c0 ->
+     Unix.sleepf 1.0;
+     (match cpu_s pid with
+      | Some c1 ->
+        check
+          (Printf.sprintf "paused daemon idles (%.2fs CPU in 1s)" (c1 -. c0))
+          (c1 -. c0 < 0.5)
+      | None -> fail "daemon vanished while paused"));
+  List.iter Unix.close idlers;
+  let health = scrape_answered port "/healthz" in
+  check "healthz degraded with the WAL error"
+    (contains ~sub:"503" health && contains ~sub:"open files" health);
+  (* the rest one at a time: nothing else holds descriptors now, so
+     each decides, and the last brings the daemon to --limit *)
+  for id = burst to burst + (limit - decided) - 1 do
+    send sock reqs.(id);
+    match answer () with
+    | `Decided -> ()
+    | `Rejected -> fail "instance %d rejected after the burst drained" id
+  done;
+  Unix.close sock;
+  await_exit daemon_out;
+  let events = log_events log_file in
+  Sys.remove log_file;
+  rm_rf wal_dir;
+  check "log records accept_paused and wal_error"
+    (List.mem "accept_paused" events && List.mem "wal_error" events)
+
 let () =
   in_process ();
   metric_families ();
@@ -357,6 +602,10 @@ let () =
         Filename.concat (Sys.getcwd ()) Sys.argv.(1)
       else Sys.argv.(1)
     in
-    socket_leg daemon
+    begin
+      socket_leg daemon;
+      idle_flood_leg daemon;
+      wal_exhaustion_leg daemon
+    end
   else print_endline "note: no daemon path given, socket leg skipped";
   print_endline "serve smoke: all checks passed"

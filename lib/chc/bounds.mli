@@ -4,8 +4,8 @@
 
     {[ (1 - 1/n)^t * sqrt(d * n² * max(U², μ²)) < ε ]}
 
-    computed exactly in rationals by comparing squares (both sides are
-    positive, so squaring preserves the order). *)
+    decided exactly by comparing squares (both sides are positive, so
+    squaring preserves the order), cross-multiplied into integers. *)
 
 module Q = Numeric.Q
 

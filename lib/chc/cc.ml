@@ -63,14 +63,23 @@ let execute ?trace ?(prefix = []) ?(round0 = `Stable_vector) ?wal ~config
   let emit =
     match trace with None -> fun _ -> () | Some tr -> Obs.Trace.emit tr
   in
+  (* one io per process, built on its first effects *)
+  let ios = Array.make n None in
   let run_effects (ep : Instance.msg Transport.ep) effs =
-    let inst = insts.(ep.Transport.me) in
+    let me = ep.Transport.me in
     let io =
-      Instance.io ~send:ep.Transport.send
-        ~broadcast:(fun m -> ep.Transport.broadcast m)
-        ~sends:ep.Transport.sends ~emit ()
+      match ios.(me) with
+      | Some io -> io
+      | None ->
+        let io =
+          Instance.io ~send:ep.Transport.send
+            ~broadcast:(fun m -> ep.Transport.broadcast m)
+            ~sends:ep.Transport.sends ~emit ()
+        in
+        ios.(me) <- Some io;
+        io
     in
-    Instance.interpret inst io effs
+    Instance.interpret insts.(me) io effs
   in
   let make i =
     let inst = insts.(i) in

@@ -59,9 +59,8 @@ type spec = {
   round0_table : round0_table;
 }
 
-(* Computing [t_end] walks the Ω²·(1-1/n)^2t contraction with exact
-   rationals; the smart constructor does it once for all n instances
-   of an execution. *)
+(* The smart constructor computes [t_end] once for all n instances of
+   an execution. *)
 let spec ?(round0 = `Stable_vector) ?wal config =
   { config; round0; wal; t_end = Bounds.t_end config;
     round0_table = { views = [] } }
@@ -176,21 +175,21 @@ let sent_feedback t ~round ~replace ~ok =
   end
   else t.sent_log <- (round, ok) :: t.sent_log
 
-let rec interpret t io effs =
-  List.iter
-    (fun e ->
-       match e with
-       | Send (dst, m) -> io.send dst m
-       | Broadcast m -> io.broadcast m
-       | Trace ev -> io.emit ev
-       | Wal_append ev -> io.on_wal ev
-       | Wal_sync -> io.on_sync ()
-       | Tracked { round; replace; inner } ->
-         let before = io.sends () in
-         interpret t io inner;
-         sent_feedback t ~round ~replace ~ok:(io.sends () > before)
-       | Defer f -> interpret t io (grab t f))
-    effs
+let rec interpret t io = function
+  | [] -> ()
+  | e :: rest ->
+    (match e with
+     | Send (dst, m) -> io.send dst m
+     | Broadcast m -> io.broadcast m
+     | Trace ev -> io.emit ev
+     | Wal_append ev -> io.on_wal ev
+     | Wal_sync -> io.on_sync ()
+     | Tracked { round; replace; inner } ->
+       let before = io.sends () in
+       interpret t io inner;
+       sent_feedback t ~round ~replace ~ok:(io.sends () > before)
+     | Defer f -> interpret t io (grab t f));
+    interpret t io rest
 
 (* --- durability -------------------------------------------------------- *)
 
@@ -354,30 +353,42 @@ let check_naive t =
      && Rounds.ready t.naive0 ~round:0
   then complete_round0 t (Rounds.freeze t.naive0 ~round:0)
 
-(* One state-bearing delivery, shared by the live path and replay.
-   Rejoin re-broadcasts make duplicate (round, src) pairs benign, so
-   arrivals are deduplicated here instead of letting [Rounds.add]
-   treat them as harness bugs. *)
-let handle_payload t ~src payload =
-  match payload with
-  | Recovery.Sv_view entries ->
-    (match t.sv with
-     | Some st ->
-       SV.on_receive st ~src (SV.msg_of_entries entries);
-       (* the announce above may crash us mid-broadcast; round-0
-          completion must observe that, so it runs at stream position *)
-       push t (Defer (fun () -> check_stable t))
-     | None -> ())
-  | Recovery.Input x ->
-    if not (Rounds.mem t.naive0 ~round:0 ~src) then begin
-      Rounds.add t.naive0 ~round:0 ~src x;
-      check_naive t
-    end
-  | Recovery.Round_msg (r, h) ->
-    if not (Rounds.mem t.rounds ~round:r ~src) then begin
-      Rounds.add t.rounds ~round:r ~src h;
-      if r = t.current then try_advance t
-    end
+(* The state-bearing deliveries, one handler per message kind. The
+   live path calls them directly; replay calls them on decoded WAL
+   payloads. Rejoin re-broadcasts make duplicate (round, src) pairs
+   benign, so arrivals are deduplicated here instead of letting
+   [Rounds.add] treat them as harness bugs. *)
+let on_view t ~src m =
+  match t.sv with
+  | Some st ->
+    SV.on_receive st ~src m;
+    (* the announce above may crash us mid-broadcast; round-0
+       completion must observe that, so it runs at stream position *)
+    push t (Defer (fun () -> check_stable t))
+  | None -> ()
+
+let on_input t ~src x =
+  if not (Rounds.mem t.naive0 ~round:0 ~src) then begin
+    Rounds.add t.naive0 ~round:0 ~src x;
+    check_naive t
+  end
+
+(* Round numbers come off the wire or the disk. No correct process
+   sends one outside 0..t_end, and dropping such a number before it
+   reaches [Rounds] keeps a corrupted WAL from sizing the round
+   table. *)
+let in_range t r = r >= 0 && r <= t.t_end
+
+let on_round t ~src r h =
+  if in_range t r && not (Rounds.mem t.rounds ~round:r ~src) then begin
+    Rounds.add t.rounds ~round:r ~src h;
+    if r = t.current then try_advance t
+  end
+
+let replay_payload t ~src = function
+  | Recovery.Sv_view entries -> on_view t ~src (SV.msg_of_entries entries)
+  | Recovery.Input x -> on_input t ~src x
+  | Recovery.Round_msg (r, h) -> on_round t ~src r h
 
 let start_proc t =
   match t.round0 with
@@ -419,8 +430,9 @@ let restore_snapshot t (s : Recovery.snapshot) =
   t.hist <- List.rev s.Recovery.hist;
   t.snd_log <- List.rev s.Recovery.snd_log;
   t.sent_log <- List.rev s.Recovery.sent_log;
-  t.rounds <- Rounds.restore ~threshold s.Recovery.rounds;
-  t.naive0 <- Rounds.restore ~threshold s.Recovery.naive0;
+  let bounded rounds = List.filter (fun (r, _, _) -> in_range t r) rounds in
+  t.rounds <- Rounds.restore ~threshold (bounded s.Recovery.rounds);
+  t.naive0 <- Rounds.restore ~threshold (bounded s.Recovery.naive0);
   t.sv <-
     Option.map
       (SV.restore ~emit:(sv_emit t) ~n:t.n ~f:t.f ~me:t.id
@@ -512,22 +524,37 @@ let force_replay t effs =
 
 let start t = grab t (fun () -> if t.down then () else start_proc t)
 
-let deliver t ~src payload =
-  wal_append t (Recovery.Delivered { src; payload });
-  handle_payload t ~src payload;
-  (* checkpoint cadence is judged only after every consequence of this
-     delivery (including a mid-broadcast crash) has played out *)
-  push t (Defer (fun () -> maybe_checkpoint t))
+let on_msg t ~src = function
+  | Rejoin r -> answer_rejoin t src r
+  | Sv m -> on_view t ~src m
+  | Input0 x -> on_input t ~src x
+  | Round (r, h) -> on_round t ~src r h
 
+(* What a WAL records of a live message; rejoin requests are
+   stateless and are not logged. *)
+let payload_of = function
+  | Rejoin _ -> None
+  | Sv m -> Some (Recovery.Sv_view (SV.msg_entries m))
+  | Input0 x -> Some (Recovery.Input x)
+  | Round (r, h) -> Some (Recovery.Round_msg (r, h))
+
+(* A live delivery. Only with a WAL armed is it logged before it is
+   handled, and then the checkpoint cadence is judged after every
+   consequence of it (including a mid-broadcast crash) has played
+   out. *)
 let handle t ~src msg =
   grab t (fun () ->
       if t.down then ()
       else
-        match msg with
-        | Rejoin r -> answer_rejoin t src r
-        | Sv m -> deliver t ~src (Recovery.Sv_view (SV.msg_entries m))
-        | Input0 x -> deliver t ~src (Recovery.Input x)
-        | Round (r, h) -> deliver t ~src (Recovery.Round_msg (r, h)))
+        match t.wal with
+        | None -> on_msg t ~src msg
+        | Some _ ->
+          (match payload_of msg with
+           | None -> on_msg t ~src msg
+           | Some payload ->
+             wal_append t (Recovery.Delivered { src; payload });
+             on_msg t ~src msg;
+             push t (Defer (fun () -> maybe_checkpoint t))))
 
 let crash t ~keep =
   t.down <- true;
@@ -571,7 +598,7 @@ let recover t =
       List.iter
         (function
           | Recovery.Delivered { src; payload } ->
-            force_replay t (grab t (fun () -> handle_payload t ~src payload))
+            force_replay t (grab t (fun () -> replay_payload t ~src payload))
           | Recovery.Checkpoint _ -> ())
         (List.rev tail);
       t.replaying <- false;

@@ -725,11 +725,20 @@ let current_handle () =
   | Some h -> h
   | None -> Domain.DLS.get domain_handle
 
+(* Runs once per protocol round, so the slot is restored by hand
+   rather than through [Fun.protect]'s closure; [raise e] in the
+   handler keeps the backtrace. *)
 let with_handle h f =
   let slot = Domain.DLS.get handle_key in
   let saved = !slot in
   slot := Some h;
-  Fun.protect ~finally:(fun () -> slot := saved) f
+  match f () with
+  | v ->
+    slot := saved;
+    v
+  | exception e ->
+    slot := saved;
+    raise e
 
 let handle_reuse h = h.arena_hits + h.warm_builds
 

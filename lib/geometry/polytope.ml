@@ -219,12 +219,34 @@ let linear_combination terms =
            | [] -> assert false
            | first :: rest -> List.fold_left minkowski_pair first rest)
 
+(* Equal inputs are grouped with integer counts before any rational
+   is built: c copies of P weigh c/k, the weight [merge_terms] would
+   reach by adding c copies of 1/k, and the groups keep first-occurrence
+   order, so the Minkowski chain is the one [linear_combination] runs
+   on the uniform weights. A round whose inputs all agree does no
+   arithmetic at all. *)
 let average polys =
   match polys with
   | [] -> invalid_arg "Polytope.average: empty"
-  | _ ->
-    let w = Q.inv (Q.of_int (List.length polys)) in
-    linear_combination (List.map (fun p -> (w, p)) polys)
+  | p0 :: rest ->
+    let rec all_equal = function
+      | [] -> true
+      | p :: rest -> equal p0 p && all_equal rest
+    in
+    if all_equal rest then begin
+      Obs.Metrics.incr lop_merged_c;
+      p0
+    end
+    else begin
+      let rec add p = function
+        | [] -> [ (1, p) ]
+        | (c, p') :: rest when equal p p' -> (c + 1, p') :: rest
+        | g :: rest -> g :: add p rest
+      in
+      let groups = List.fold_left (fun acc p -> add p acc) [] polys in
+      let k = List.length polys in
+      linear_combination (List.map (fun (c, p) -> (Q.of_ints c k, p)) groups)
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Intersection. *)

@@ -602,7 +602,10 @@ let to_float_enclosure = function
       { Interval.lo = neg_infinity; hi = -0.5 *. max_float }
     else begin
       let k = float_of_int (4 * (Array.length b.mag + 1)) in
-      let pad = Float.abs f *. k *. epsilon_float in
+      (* k·ε first: |f|·k overflows for values within a factor k of
+         DBL_MAX, and an infinite pad would make the enclosure of a
+         positive integer straddle zero *)
+      let pad = Float.abs f *. (k *. epsilon_float) in
       { Interval.lo = Float.pred (f -. pad); hi = Float.succ (f +. pad) }
     end
 

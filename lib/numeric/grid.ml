@@ -98,11 +98,19 @@ let grid_stats () =
     (fun (sc, rh) s -> (sc + s.scans, rh + s.round_hits))
     (0, 0) ss
 
+(* Runs once per protocol round: the slot is restored by hand rather
+   than through [Fun.protect]'s closure. *)
 let with_round build f =
   let slot = Domain.DLS.get slot_key in
   let saved = !slot in
   slot := Pending build;
-  Fun.protect ~finally:(fun () -> slot := saved) f
+  match f () with
+  | v ->
+    slot := saved;
+    v
+  | exception e ->
+    slot := saved;
+    raise e
 
 (* Install only when no round grid is active: construction-level entry
    points (Polytope.linear_combination, intersect) use this so they

@@ -46,14 +46,19 @@ let mul a b =
   let hi = Float.max (Float.max p1 p2) (Float.max p3 p4) in
   { lo = down lo; hi = up hi }
 
-(* Division by an interval known to contain only positive reals
-   (rational enclosures normalize denominators to be positive). A lower
-   endpoint widened down to 0 makes the quotient bound infinite, which
-   is conservative. *)
+(* Division by an interval meant to contain only positive reals
+   (rational enclosures normalize denominators to be positive). The
+   endpoint formulas are sound only when the divisor's enclosure is
+   positive too; one that reaches 0 or below (a saturated or
+   over-padded conversion) yields the whole line, never a quotient
+   that misses the true value. *)
 let div_pos a b =
-  let lo = if a.lo >= 0.0 then a.lo /. b.hi else a.lo /. b.lo in
-  let hi = if a.hi >= 0.0 then a.hi /. b.lo else a.hi /. b.hi in
-  { lo = down lo; hi = up hi }
+  if not (b.lo > 0.0) then whole
+  else begin
+    let lo = if a.lo >= 0.0 then a.lo /. b.hi else a.lo /. b.lo in
+    let hi = if a.hi >= 0.0 then a.hi /. b.lo else a.hi /. b.hi in
+    { lo = down lo; hi = up hi }
+  end
 
 let sign a =
   if a.lo > 0.0 then Some 1

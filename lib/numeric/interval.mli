@@ -34,8 +34,9 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 
 val div_pos : t -> t -> t
-(** [div_pos a b] encloses [a / b] assuming every real in [b] is
-    positive (the denominator enclosure of a normalized rational). *)
+(** [div_pos a b] encloses [a / b] for a divisor whose reals are all
+    positive (the denominator enclosure of a normalized rational). When
+    [b]'s enclosure is not itself positive it returns the whole line. *)
 
 val sign : t -> int option
 (** [Some s] when every real in the interval has sign [s] (the interval

@@ -5,7 +5,13 @@
     time} (line 12 of Algorithm CC); the multiset frozen at that moment
     is [Y_i[t]] — later round-[t] arrivals must not join it. Messages
     for future rounds arrive early under asynchrony and are buffered
-    here until the process reaches that round. *)
+    here until the process reaches that round.
+
+    The table is an array indexed by round, so touching round [r]
+    costs O(r) words: a caller that takes round numbers from the
+    network or from disk bounds them first (a correct process never
+    sends one past [t_end]). Every operation but {!mem} raises
+    [Invalid_argument] on a negative round. *)
 
 type 'a t
 

@@ -18,6 +18,7 @@ type 'msg t = {
   on_recover : ('msg Transport.ep -> unit) option;
   sends_attempted : int array;
   receives_seen : int array;
+  mutable eps : 'msg Transport.ep array;  (* one per process, built once *)
   mutable handlers : 'msg Transport.handlers array;
   mutable seq : int;
   mutable sent : int;
@@ -80,7 +81,10 @@ let send t src dst msg =
       t.sends_attempted.(src) <- t.sends_attempted.(src) + 1;
       t.seq <- t.seq + 1;
       t.sent <- t.sent + 1;
-      trace_emit t (fun () -> Obs.Trace.Send { src; dst; seq = t.seq });
+      (match t.trace with
+       | None -> ()
+       | Some tr ->
+         Obs.Trace.emit tr (Obs.Trace.Send { src; dst; seq = t.seq }));
       Queue.push (t.seq, src, dst, msg) t.queue
   end
 
@@ -90,7 +94,7 @@ let broadcast t src ?(include_self = false) msg =
   done;
   if include_self then send t src src msg
 
-let ep_of t i : _ Transport.ep =
+let make_ep t i : _ Transport.ep =
   { Transport.me = i;
     n = t.n;
     send = (fun dst msg -> send t i dst msg);
@@ -113,6 +117,7 @@ let create ?trace ?on_crash ?on_recover ?(crash = [||]) ~n ~make () =
       on_recover;
       sends_attempted = Array.make n 0;
       receives_seen = Array.make n 0;
+      eps = [||];
       handlers = [||];
       seq = 0;
       sent = 0;
@@ -123,6 +128,7 @@ let create ?trace ?on_crash ?on_recover ?(crash = [||]) ~n ~make () =
       steps = 0;
       started = false }
   in
+  t.eps <- Array.init n (make_ep t);
   t.handlers <- Array.init n make;
   Array.iteri
     (fun i plan ->
@@ -145,7 +151,7 @@ let revive t i =
   if Obs.Log.enabled Obs.Log.Info then
     Obs.Log.info "recover"
       [ ("pid", Obs.Log.I i); ("step", Obs.Log.I t.steps) ];
-  match t.on_recover with None -> () | Some f -> f (ep_of t i)
+  match t.on_recover with None -> () | Some f -> f t.eps.(i)
 
 let revive_due t =
   for i = 0 to t.n - 1 do
@@ -172,7 +178,7 @@ let start t =
   if not t.started then begin
     t.started <- true;
     for i = 0 to t.n - 1 do
-      t.handlers.(i).Transport.on_start (ep_of t i)
+      t.handlers.(i).Transport.on_start t.eps.(i)
     done
   end
 
@@ -200,9 +206,12 @@ let deliver_one t (seq, src, dst, msg) =
     | Crash.Crash_recover _ ->
       t.receives_seen.(dst) <- t.receives_seen.(dst) + 1;
       t.delivered <- t.delivered + 1;
-      trace_emit t
-        (fun () -> Obs.Trace.Deliver { step = t.steps; src; dst; seq });
-      t.handlers.(dst).Transport.on_receive (ep_of t dst) ~src msg
+      (match t.trace with
+       | None -> ()
+       | Some tr ->
+         Obs.Trace.emit tr
+           (Obs.Trace.Deliver { step = t.steps; src; dst; seq }));
+      t.handlers.(dst).Transport.on_receive t.eps.(dst) ~src msg
   end
 
 (* One pump increment: deliver the oldest in-flight message, or jump

@@ -7,6 +7,7 @@ type 'msg t = {
   scheduler : Scheduler.t;
   pick : Scheduler.pick_fn;
   channels : (int * 'msg) Queue.t array array; (* channels.(src).(dst) *)
+  chans : Scheduler.channel array array;  (* chans.(src).(dst), built once *)
   crash_plan : Crash.plan array;  (* private copy: recovery disarms plans *)
   crashed : bool array;
   recovered : bool array;         (* crashed at least once, then revived *)
@@ -15,6 +16,7 @@ type 'msg t = {
   on_recover : ('msg Transport.ep -> unit) option;
   sends_attempted : int array;
   receives_seen : int array;
+  mutable eps : 'msg Transport.ep array;  (* one per process, built once *)
   mutable prefix : (int * int) list;  (* forced (src, dst) schedule head *)
   mutable handlers : 'msg Transport.handlers array;
   mutable seq : int;
@@ -82,7 +84,10 @@ let send t src dst msg =
       t.sends_attempted.(src) <- t.sends_attempted.(src) + 1;
       t.seq <- t.seq + 1;
       t.sent <- t.sent + 1;
-      trace_emit t (fun () -> Obs.Trace.Send { src; dst; seq = t.seq });
+      (match t.trace with
+       | None -> ()
+       | Some tr ->
+         Obs.Trace.emit tr (Obs.Trace.Send { src; dst; seq = t.seq }));
       Queue.push (t.seq, msg) t.channels.(src).(dst)
   end
 
@@ -94,7 +99,7 @@ let broadcast t src ?(include_self = false) msg =
 
 (* The endpoint capability handed to handlers and hooks: closes over
    (t, i) so a handler can only act as its own process. *)
-let ep_of t i : _ Transport.ep =
+let make_ep t i : _ Transport.ep =
   { Transport.me = i;
     n = t.n;
     send = (fun dst msg -> send t i dst msg);
@@ -111,6 +116,9 @@ let create ?trace ?(prefix = []) ?on_crash ?on_recover ~n ~seed ~scheduler
       scheduler;
       pick = Scheduler.instantiate scheduler;
       channels = Array.init n (fun _ -> Array.init n (fun _ -> Queue.create ()));
+      chans =
+        Array.init n (fun src ->
+            Array.init n (fun dst -> { Scheduler.src; dst }));
       crash_plan = Array.copy crash;
       crashed = Array.make n false;
       recovered = Array.make n false;
@@ -119,6 +127,7 @@ let create ?trace ?(prefix = []) ?on_crash ?on_recover ~n ~seed ~scheduler
       on_recover;
       sends_attempted = Array.make n 0;
       receives_seen = Array.make n 0;
+      eps = [||];
       prefix;
       handlers = [||];
       seq = 0;
@@ -130,6 +139,7 @@ let create ?trace ?(prefix = []) ?on_crash ?on_recover ~n ~seed ~scheduler
       steps = 0;
       started = false }
   in
+  t.eps <- Array.init n (make_ep t);
   t.handlers <- Array.init n make;
   (* Processes with a zero send budget are crashed from the outset
      (receive budgets only ever fire on a delivery). *)
@@ -153,7 +163,7 @@ let nonempty_channels t =
       let q = t.channels.(src).(dst) in
       if not (Queue.is_empty q) then begin
         let (seq, _) = Queue.peek q in
-        acc := ({ Scheduler.src; dst }, seq) :: !acc
+        acc := (t.chans.(src).(dst), seq) :: !acc
       end
     done
   done;
@@ -184,7 +194,7 @@ let revive t i =
   if Obs.Log.enabled Obs.Log.Info then
     Obs.Log.info "recover"
       [ ("pid", Obs.Log.I i); ("step", Obs.Log.I t.steps) ];
-  match t.on_recover with None -> () | Some f -> f (ep_of t i)
+  match t.on_recover with None -> () | Some f -> f t.eps.(i)
 
 (* Revive every pending recovery that has come due, in pid order (the
    loop is re-entered because a revival's rejoin sends may change the
@@ -216,7 +226,7 @@ let run ?(max_steps = 2_000_000) t =
   if not t.started then begin
     t.started <- true;
     for i = 0 to t.n - 1 do
-      t.handlers.(i).Transport.on_start (ep_of t i)
+      t.handlers.(i).Transport.on_start t.eps.(i)
     done
   end;
   let rec loop () =
@@ -261,9 +271,12 @@ let run ?(max_steps = 2_000_000) t =
         | Crash.Crash_recover _ ->
           t.receives_seen.(dst) <- t.receives_seen.(dst) + 1;
           t.delivered <- t.delivered + 1;
-          trace_emit t
-            (fun () -> Obs.Trace.Deliver { step = t.steps; src; dst; seq });
-          t.handlers.(dst).Transport.on_receive (ep_of t dst) ~src msg
+          (match t.trace with
+           | None -> ()
+           | Some tr ->
+             Obs.Trace.emit tr
+               (Obs.Trace.Deliver { step = t.steps; src; dst; seq }));
+          t.handlers.(dst).Transport.on_receive t.eps.(dst) ~src msg
       end;
       loop ()
   in

@@ -16,6 +16,38 @@ let scrape_counter endpoint =
   Obs.Metrics.counter "chc_serve_admin_requests_total"
     ~labels:[ ("endpoint", endpoint) ]
 
+(* --- accepting within select(2)'s reach ---------------------------- *)
+
+let refused_total =
+  Obs.Metrics.counter "chc_serve_connections_refused_total"
+    ~help:"Connections closed on accept because select(2) cannot watch \
+           their descriptor (at or past FD_SETSIZE)."
+
+(* select(2) cannot watch a descriptor at or past FD_SETSIZE, and
+   OCaml's binding reports one with EINVAL. Probing the fresh
+   descriptor alone asks that binding instead of hard-coding the
+   limit. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+
+let accept sock =
+  match Unix.accept sock with
+  | fd, _ ->
+    if selectable fd then `Client fd
+    else begin
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Obs.Metrics.incr refused_total;
+      Obs.Log.warn "connection_refused"
+        [ ("reason", Obs.Log.S "descriptor past FD_SETSIZE") ];
+      `Refused
+    end
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+    `Exhausted
+  | exception Unix.Unix_error _ -> `Refused
+
 let response ~status ~content_type body =
   Printf.sprintf
     "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\
@@ -131,6 +163,7 @@ type t = {
   sock : Unix.file_descr;
   a_port : int;
   conns : (Unix.file_descr, conn) Hashtbl.t;
+  mutable accepting : bool;  (* false after EMFILE/ENFILE on accept *)
 }
 
 let write_all fd s =
@@ -154,23 +187,29 @@ let create ?(port = 0) source =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  { source; sock; a_port; conns = Hashtbl.create 8 }
+  { source; sock; a_port; conns = Hashtbl.create 8; accepting = true }
 
 let port t = t.a_port
 
-let fds t = t.sock :: Hashtbl.fold (fun fd _ acc -> fd :: acc) t.conns []
+let fds t =
+  let conns = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.conns [] in
+  if t.accepting then t.sock :: conns else conns
 
 let owns t fd = fd == t.sock || Hashtbl.mem t.conns fd
 
+let resume_accepting t = t.accepting <- true
+
 let drop t fd =
   Hashtbl.remove t.conns fd;
+  resume_accepting t;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let handle_ready t fd =
   if fd == t.sock then begin
-    match Unix.accept t.sock with
-    | cfd, _ -> Hashtbl.replace t.conns cfd (conn ())
-    | exception Unix.Unix_error _ -> ()
+    match accept t.sock with
+    | `Client cfd -> Hashtbl.replace t.conns cfd (conn ())
+    | `Refused -> ()
+    | `Exhausted -> t.accepting <- false
   end
   else
     match Hashtbl.find_opt t.conns fd with

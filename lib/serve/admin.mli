@@ -67,14 +67,35 @@ val port : t -> int
 
 val fds : t -> Unix.file_descr list
 (** The listener plus every open admin connection — add these to the
-    daemon's select read set. *)
+    daemon's select read set. The listener is left out while accepting
+    is paused (see {!handle_ready}). *)
 
 val owns : t -> Unix.file_descr -> bool
 
 val handle_ready : t -> Unix.file_descr -> unit
-(** Advance one fd select reported ready: accept on the listener, or
-    read-and-maybe-respond on a connection. Connections close after
-    one response; I/O errors just drop the peer. *)
+(** Advance one fd select reported ready: {!accept} on the listener,
+    or read-and-maybe-respond on a connection. Connections close after
+    one response; I/O errors just drop the peer. When the process is
+    out of descriptors the listener pauses until one of its
+    connections closes or {!resume_accepting}. *)
+
+val resume_accepting : t -> unit
+(** Put the listener back in {!fds} — the daemon calls this when it
+    releases a descriptor of its own. *)
+
+(** {1 Accepting within select(2)'s reach} *)
+
+val accept :
+  Unix.file_descr -> [ `Client of Unix.file_descr | `Refused | `Exhausted ]
+(** Accept one connection on a listening socket. [`Client fd]: a
+    connection select(2) can watch. [`Refused]: nothing to serve — the
+    connection's descriptor was at or past FD_SETSIZE, so it was closed
+    at once, logged ([connection_refused]) and counted in
+    [chc_serve_connections_refused_total], or accept failed
+    transiently. [`Exhausted]: the process or system is out of
+    descriptors (EMFILE/ENFILE); the caller should stop polling the
+    listener until it releases one, or the still-readable listener
+    spins its select loop. *)
 
 val poll : ?timeout:float -> t -> unit
 (** Self-contained pump: select over {!fds} with [timeout] (default 0)

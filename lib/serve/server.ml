@@ -270,6 +270,11 @@ let grade_count t o =
       [ ("id", Obs.Log.I o.job.id); ("reason", Obs.Log.S reason) ];
     Error reason
 
+let note_wal_error t msg =
+  Atomic.incr t.ws.ws_errors;
+  Atomic.set t.ws.ws_last_error (Some msg);
+  Obs.Metrics.incr wal_errors_total
+
 let submit t ?resume job =
   if Hashtbl.mem t.live_ids job.id then
     invalid_arg
@@ -299,21 +304,47 @@ let submit t ?resume job =
     | None -> (None, None)
     | Some root ->
       let dir = Filename.concat root (Printf.sprintf "inst-%d" job.id) in
-      mkdir_p dir;
-      (* The daemon's loopback is Sim under the fifo schedule, so the
-         persisted scenario replays (and re-grades) this execution. *)
-      let scen =
-        Chc.Scenario.make ~config:job.config ~inputs:job.inputs
-          ~crash:job.crash ~scheduler:Runtime.Scheduler.fifo ~seed:0
-          ~round0:job.round0 ?wal:wal_spec ()
+      let fresh = not (Sys.file_exists dir) in
+      let meta = Filename.concat dir "meta.json" in
+      let wal_path pid =
+        Filename.concat dir (Printf.sprintf "wal-%d.jsonl" pid)
       in
-      Chc.Scenario.save ~path:(Filename.concat dir "meta.json") scen;
-      let aps =
-        Array.init n (fun pid ->
-            Sink.append_open
-              ~path:(Filename.concat dir (Printf.sprintf "wal-%d.jsonl" pid)))
-      in
-      (Some dir, Some aps)
+      let opened = ref [] in
+      (match
+         mkdir_p dir;
+         (* The daemon's loopback is Sim under the fifo schedule, so
+            the persisted scenario replays (and re-grades) this
+            execution. *)
+         Chc.Scenario.save ~path:meta
+           (Chc.Scenario.make ~config:job.config ~inputs:job.inputs
+              ~crash:job.crash ~scheduler:Runtime.Scheduler.fifo ~seed:0
+              ~round0:job.round0 ?wal:wal_spec ());
+         Array.init n (fun pid ->
+             let ap = Sink.append_open ~path:(wal_path pid) in
+             opened := ap :: !opened;
+             ap)
+       with
+       | aps -> (Some dir, Some aps)
+       | exception (Sink.Write_error { path; message } as e) ->
+         (* Out of descriptors or disk: the instance never starts.
+            Close what was opened and, if this submit created the
+            directory, remove it (unlink and rmdir need no descriptor)
+            so a restart does not resume an instance whose client saw
+            it rejected. *)
+         List.iter
+           (fun ap -> try Sink.append_close ap with Sink.Write_error _ -> ())
+           !opened;
+         if fresh then begin
+           List.iter
+             (fun p -> try Sys.remove p with Sys_error _ -> ())
+             (meta :: List.init n wal_path);
+           try Unix.rmdir dir with Unix.Unix_error _ -> ()
+         end;
+         let msg = path ^ ": " ^ message in
+         note_wal_error t msg;
+         Obs.Log.error "wal_error"
+           [ ("id", Obs.Log.I job.id); ("error", Obs.Log.S msg) ];
+         raise e)
   in
   let wal_ok = Array.make n true in
   let trace =
@@ -330,48 +361,57 @@ let submit t ?resume job =
       | Sink.Write_error { path; message } -> path ^ ": " ^ message
       | e -> Printexc.to_string e
     in
-    Atomic.incr t.ws.ws_errors;
-    Atomic.set t.ws.ws_last_error (Some msg);
-    Obs.Metrics.incr wal_errors_total;
+    note_wal_error t msg;
     Obs.Log.error "wal_error"
       [ ("id", Obs.Log.I job.id); ("pid", Obs.Log.I pid);
         ("error", Obs.Log.S msg) ]
   in
+  let io_of (ep : Instance.msg Transport.ep) =
+    let pid = ep.Transport.me in
+    Instance.io ~send:ep.Transport.send
+      ~broadcast:(fun m -> ep.Transport.broadcast m)
+      ~sends:ep.Transport.sends
+      ?on_wal:
+        (Option.map
+           (fun aps e ->
+              if wal_ok.(pid) then begin
+                let line = Recovery.event_to_string e in
+                match Sink.append_line aps.(pid) line with
+                | () ->
+                  Atomic.incr t.ws.ws_appends;
+                  ignore
+                    (Atomic.fetch_and_add t.ws.ws_bytes
+                       (String.length line + 1));
+                  Obs.Metrics.add wal_bytes_total (String.length line + 1)
+                | exception exn -> wal_degrade pid exn
+              end)
+           wal)
+      ?on_sync:
+        (Option.map
+           (fun aps () ->
+              if wal_ok.(pid) then begin
+                match Sink.append_sync aps.(pid) with
+                | () ->
+                  Atomic.incr t.ws.ws_syncs;
+                  Atomic.set t.ws.ws_appends_at_sync
+                    (Atomic.get t.ws.ws_appends)
+                | exception exn -> wal_degrade pid exn
+              end)
+           wal)
+      ?emit:(Option.map Obs.Trace.emit trace)
+      ()
+  in
+  (* one io per process, built on its first effects *)
+  let ios = Array.make n None in
   let run_effects (ep : Instance.msg Transport.ep) effs =
     let pid = ep.Transport.me in
     let io =
-      Instance.io ~send:ep.Transport.send
-        ~broadcast:(fun m -> ep.Transport.broadcast m)
-        ~sends:ep.Transport.sends
-        ?on_wal:
-          (Option.map
-             (fun aps e ->
-                if wal_ok.(pid) then begin
-                  let line = Recovery.event_to_string e in
-                  match Sink.append_line aps.(pid) line with
-                  | () ->
-                    Atomic.incr t.ws.ws_appends;
-                    ignore
-                      (Atomic.fetch_and_add t.ws.ws_bytes
-                         (String.length line + 1));
-                    Obs.Metrics.add wal_bytes_total (String.length line + 1)
-                  | exception exn -> wal_degrade pid exn
-                end)
-             wal)
-        ?on_sync:
-          (Option.map
-             (fun aps () ->
-                if wal_ok.(pid) then begin
-                  match Sink.append_sync aps.(pid) with
-                  | () ->
-                    Atomic.incr t.ws.ws_syncs;
-                    Atomic.set t.ws.ws_appends_at_sync
-                      (Atomic.get t.ws.ws_appends)
-                  | exception exn -> wal_degrade pid exn
-                end)
-             wal)
-        ?emit:(Option.map Obs.Trace.emit trace)
-        ()
+      match ios.(pid) with
+      | Some io -> io
+      | None ->
+        let io = io_of ep in
+        ios.(pid) <- Some io;
+        io
     in
     Instance.interpret insts.(pid) io effs
   in

@@ -115,7 +115,12 @@ val grade_count : t -> outcome -> (unit, string) result
 val submit : t -> ?resume:Chc.Recovery.event list array -> job -> unit
 (** Enqueue a job on its shard. With [resume], each process restores
     from the given WAL entries (the restart path) instead of starting
-    fresh. @raise Invalid_argument on a duplicate live [id]. *)
+    fresh. @raise Invalid_argument on a duplicate live [id].
+    @raise Obs.Sink.Write_error if a [wal_dir] server cannot create the
+    instance's files (out of descriptors, say): the job is then not
+    enqueued, the files it opened are closed, the directory it created
+    is removed, and the error shows on [/healthz] and in
+    [chc_serve_wal_errors_total]. *)
 
 val pump : t -> outcome list
 (** One parallel pump round: every shard advances its live instances

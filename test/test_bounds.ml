@@ -56,10 +56,67 @@ let test_contraction () =
   Alcotest.(check (float 1e-12)) "t=1" 0.8 (Bounds.contraction_at c 1);
   Alcotest.(check (float 1e-12)) "t=2" 0.64 (Bounds.contraction_at c 2)
 
+(* The rational walk [Bounds.t_end] replaced, kept as its oracle:
+   multiply Ω² by (1 - 1/n)² until it drops below ε². *)
+let t_end_walk (c : Config.t) =
+  let ratio2 = Q.square (Q.of_ints (c.Config.n - 1) c.Config.n) in
+  let eps2 = Q.square c.Config.eps in
+  let rec go t lhs2 =
+    if t >= 1 && Q.lt lhs2 eps2 then t else go (t + 1) (Q.mul lhs2 ratio2)
+  in
+  go 0 (Bounds.omega2_bound c)
+
+(* Every legal f = 1 shape with n in {4,5,6,7,9,12,20} and d in 1..4,
+   eight ε from 1 down to 1/10^5, three ranges: 528 configs. *)
+let grid =
+  List.concat_map
+    (fun n ->
+       List.concat_map
+         (fun d ->
+            if n < d + 3 then []
+            else
+              List.concat_map
+                (fun eps ->
+                   List.map
+                     (fun (lo, hi) ->
+                        Config.make ~n ~f:1 ~d ~eps ~lo:(Q.of_int lo)
+                          ~hi:(Q.of_int hi))
+                     [ (0, 1); (-3, 2); (0, 1000) ])
+                (List.map (Q.of_ints 1)
+                   [ 1; 2; 3; 10; 100; 1000; 10_000; 100_000 ]))
+         [ 1; 2; 3; 4 ])
+    [ 4; 5; 6; 7; 9; 12; 20 ]
+
+let describe (c : Config.t) =
+  Printf.sprintf "n=%d d=%d eps=%s [%s, %s]" c.Config.n c.Config.d
+    (Q.to_string c.Config.eps) (Q.to_string c.Config.lo)
+    (Q.to_string c.Config.hi)
+
+(* The integer t_end equals the walk under the exact kernel, and the
+   walk itself agrees under both kernels: at n = 20 its products have
+   denominators past 1,017 bits, where the filtered comparison once
+   answered from an enclosure that missed the true value. *)
+let test_grid_oracle () =
+  Alcotest.(check int) "grid size" 528 (List.length grid);
+  List.iter
+    (fun c ->
+       let exact = Numeric.Kernel.with_mode Numeric.Kernel.Exact in
+       let filtered = Numeric.Kernel.with_mode Numeric.Kernel.Filtered in
+       let oracle = exact (fun () -> t_end_walk c) in
+       Alcotest.(check int) (describe c ^ ": filtered walk") oracle
+         (filtered (fun () -> t_end_walk c));
+       Alcotest.(check int) (describe c ^ ": t_end, exact") oracle
+         (exact (fun () -> Bounds.t_end c));
+       Alcotest.(check int) (describe c ^ ": t_end, filtered") oracle
+         (filtered (fun () -> Bounds.t_end c)))
+    grid
+
 let suite =
   [ ( "bounds",
       [ Alcotest.test_case "t_end tightness" `Quick test_tightness;
         Alcotest.test_case "monotone in eps" `Quick test_monotonic_in_eps;
         Alcotest.test_case "omega bound" `Quick test_omega_bound;
         Alcotest.test_case "config validation" `Quick test_config_validation;
-        Alcotest.test_case "contraction" `Quick test_contraction ] ) ]
+        Alcotest.test_case "contraction" `Quick test_contraction;
+        Alcotest.test_case "t_end = rational walk on 528 configs" `Quick
+          test_grid_oracle ] ) ]

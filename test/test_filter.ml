@@ -214,6 +214,37 @@ let test_oracle_kernel_equivalence () =
   | Fuzz.Oracle.Pass -> ()
   | Fuzz.Oracle.Fail msg -> Alcotest.fail ("kernel divergence: " ^ msg)
 
+(* Rationals whose numerators and denominators have 1,000–1,030 bits:
+   their float images sit within a factor 2^24 of DBL_MAX or past it,
+   where the enclosure's relative pad once overflowed to infinity and
+   a denominator's enclosure straddled zero. Either sign, and
+   denominators of 1 mixed in. *)
+let gen_wide =
+  let open QCheck.Gen in
+  let wide =
+    let* bits = 1000 -- 1030 in
+    let* top = (1 lsl 29) -- ((1 lsl 30) - 1) in
+    let* low = 0 -- ((1 lsl 30) - 1) in
+    return
+      (Numeric.Bigint.add
+         (Numeric.Bigint.shift_left (Numeric.Bigint.of_int top) (bits - 30))
+         (Numeric.Bigint.of_int low))
+  in
+  let* num = wide in
+  let* neg = bool in
+  let* den = frequency [ (4, wide); (1, return Numeric.Bigint.one) ] in
+  return (Q.make (if neg then Numeric.Bigint.neg num else num) den)
+
+let wide_props =
+  [ Gen.prop ~count:500 "Q.compare = exact on 1,000-1,030-bit parts"
+      (QCheck.pair
+         (QCheck.make ~print:Q.to_string gen_wide)
+         (QCheck.make ~print:Q.to_string gen_wide))
+      (fun (a, b) ->
+         filtered (fun () -> Q.compare a b) = exact (fun () -> Q.compare a b)
+         && filtered (fun () -> Q.compare b a)
+            = exact (fun () -> Q.compare b a)) ]
+
 let suite =
   [ ( "filter",
       [ Alcotest.test_case "adversarial units" `Quick test_adversarial_units;
@@ -223,4 +254,5 @@ let suite =
           test_oracle_kernel_equivalence ]
       @ List.map Gen.qtest props
       @ [ Alcotest.test_case "enclosure ring eviction stays sound" `Quick
-            test_enclosure_ring_eviction ] ) ]
+            test_enclosure_ring_eviction ]
+      @ List.map Gen.qtest wide_props ) ]

@@ -371,26 +371,31 @@ let lincomb_oracle ~dim terms =
            (List.concat_map (fun u -> List.map (Vec.add u) vs) (P.vertices acc)))
       (P.of_points ~dim first) rest
 
-(* A few distinct polytopes, repeated: 2-5 terms drawn from 1-3
-   polytopes with small integer weights (zero allowed), normalized to
-   sum to 1. *)
+(* A few distinct polytopes, repeated: 2-5 picks from 1-3 polytopes. *)
+let gen_repeated_polys ~dim ~max_size =
+  let open QCheck.Gen in
+  let* k = 1 -- 3 in
+  let* polys =
+    list_size (return k)
+      (map (P.of_points ~dim) (Gen.gen_points ~min_size:1 ~max_size dim))
+  in
+  let* m = 2 -- 5 in
+  let* picks = list_size (return m) (0 -- (k - 1)) in
+  return (List.map (List.nth polys) picks)
+
+let print_polys ps = String.concat " , " (List.map P.to_string ps)
+
+(* The repeated picks as terms with small integer weights (zero
+   allowed), normalized to sum to 1. *)
 let arb_repeated_terms ~dim ~max_size =
   let open QCheck.Gen in
   let gen =
-    let* k = 1 -- 3 in
-    let* polys =
-      list_size (return k)
-        (map (P.of_points ~dim) (Gen.gen_points ~min_size:1 ~max_size dim))
-    in
-    let* m = 2 -- 5 in
-    let* picks = list_size (return m) (0 -- (k - 1)) in
+    let* picked = gen_repeated_polys ~dim ~max_size in
+    let m = List.length picked in
     let* weights = list_size (return m) (0 -- 3) in
     let weights = if List.for_all (( = ) 0) weights then 1 :: List.tl weights else weights in
     let total = List.fold_left ( + ) 0 weights in
-    return
-      (List.map2
-         (fun i w -> (Q.of_ints w total, List.nth polys i))
-         picks weights)
+    return (List.map2 (fun p w -> (Q.of_ints w total, p)) picked weights)
   in
   QCheck.make
     ~print:(fun terms ->
@@ -424,6 +429,38 @@ let merge_props =
            Option.equal P.equal (P.intersect [ p; q; p; q ]) (P.intersect [ p; q ]));
       Gen.prop "intersect of copies is the polytope" (arb_poly 2)
         (fun p -> Option.equal P.equal (P.intersect [ p; p ]) (Some p)) ]
+
+(* [average] groups equal inputs with integer counts instead of
+   building k weights of 1/k: the same set, reached through the same
+   Minkowski chain, so the L-operator counters move alike. *)
+let average_props =
+  List.concat_map
+    (fun (dim, max_size, count) ->
+       let arb =
+         QCheck.make ~print:print_polys (gen_repeated_polys ~dim ~max_size)
+       in
+       [ Gen.prop ~count
+           (Printf.sprintf "average = uniform linear_combination (d=%d)" dim)
+           arb
+           (fun polys ->
+              let w = Q.of_ints 1 (List.length polys) in
+              let merged0 = lop "merged" and sums0 = lop "minkowski" in
+              let avg = P.average polys in
+              let merged1 = lop "merged" and sums1 = lop "minkowski" in
+              let lc = P.linear_combination (List.map (fun p -> (w, p)) polys) in
+              P.equal avg lc
+              && merged1 - merged0 = lop "merged" - merged1
+              && sums1 - sums0 = lop "minkowski" - sums1);
+         Gen.prop ~count
+           (Printf.sprintf "average of agreeing inputs is the first (d=%d)"
+              dim)
+           arb
+           (fun polys ->
+              (* every input after the first is an equal copy *)
+              let p = List.hd polys in
+              let copy () = P.of_points ~dim (P.vertices p) in
+              P.average (p :: List.map (fun _ -> copy ()) polys) == p) ])
+    [ (1, 4, 200); (2, 5, 200); (3, 4, 40) ]
 
 let props =
   [ Gen.prop "average of two copies is identity" (arb_poly 2)
@@ -512,4 +549,5 @@ let suite =
           test_pinned_corpus;
         Alcotest.test_case "round0-equivalence oracle" `Slow
           test_round0_equivalence_oracle ]
-      @ List.map Gen.qtest (props @ merge_props @ depth_region_props) ) ]
+      @ List.map Gen.qtest
+          (props @ merge_props @ depth_region_props @ average_props) ) ]

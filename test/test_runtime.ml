@@ -249,6 +249,110 @@ let test_rounds_not_ready_freeze () =
     (Invalid_argument "Rounds.freeze: round not ready")
     (fun () -> ignore (Rounds.freeze r ~round:1))
 
+(* Model test: random operation sequences, with rounds out of order
+   and past the table's initial size, against an association-list
+   model of the per-round arrival table. [Restore] swaps in the table
+   rebuilt from [dump] mid-sequence; everything after it must behave
+   as before. Rounds are touched by every operation but [mem], and
+   [dump] lists exactly the touched rounds. *)
+type rounds_op =
+  | Add of int * int
+  | Mem of int * int
+  | Ready of int
+  | Freeze of int
+  | Count of int
+  | Dump
+  | Restore
+
+let print_rounds_op = function
+  | Add (r, s) -> Printf.sprintf "add r%d s%d" r s
+  | Mem (r, s) -> Printf.sprintf "mem r%d s%d" r s
+  | Ready r -> Printf.sprintf "ready r%d" r
+  | Freeze r -> Printf.sprintf "freeze r%d" r
+  | Count r -> Printf.sprintf "count r%d" r
+  | Dump -> "dump"
+  | Restore -> "restore"
+
+let arb_rounds_ops =
+  let open QCheck.Gen in
+  let round = frequency [ (4, 0 -- 3); (1, 0 -- 40) ] in
+  let src = 0 -- 5 in
+  let op =
+    frequency
+      [ (6, map2 (fun r s -> Add (r, s)) round src);
+        (2, map2 (fun r s -> Mem (r, s)) round src);
+        (2, map (fun r -> Ready r) round);
+        (2, map (fun r -> Freeze r) round);
+        (1, map (fun r -> Count r) round);
+        (1, return Dump);
+        (1, return Restore) ]
+  in
+  QCheck.make
+    ~print:(fun (threshold, ops) ->
+        Printf.sprintf "threshold %d: %s" threshold
+          (String.concat "; " (List.map print_rounds_op ops)))
+    (pair (1 -- 4) (list_size (0 -- 60) op))
+
+let rounds_match_model (threshold, ops) =
+  let r = ref (Rounds.create ~threshold) in
+  (* round -> (arrivals in arrival order, frozen) *)
+  let model = ref [] in
+  let touch round =
+    match List.assoc_opt round !model with
+    | Some s -> s
+    | None ->
+      model := (round, ([], false)) :: !model;
+      ([], false)
+  in
+  let set round s = model := (round, s) :: List.remove_assoc round !model in
+  let first l = List.filteri (fun i _ -> i < threshold) l in
+  let rejects f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  List.for_all
+    (function
+      | Add (round, src) ->
+        let arrivals, frozen = touch round in
+        let dup = List.mem_assoc src arrivals in
+        let payload = (100 * round) + src in
+        if not dup then set round (arrivals @ [ (src, payload) ], frozen);
+        rejects (fun () -> Rounds.add !r ~round ~src payload) = dup
+      | Mem (round, src) ->
+        Rounds.mem !r ~round ~src
+        = (match List.assoc_opt round !model with
+           | Some (arrivals, _) -> List.mem_assoc src arrivals
+           | None -> false)
+      | Ready round ->
+        let arrivals, frozen = touch round in
+        Rounds.ready !r ~round = (frozen || List.length arrivals >= threshold)
+      | Freeze round ->
+        let arrivals, frozen = touch round in
+        if frozen || List.length arrivals >= threshold then begin
+          set round (arrivals, true);
+          Rounds.freeze !r ~round = first arrivals
+        end
+        else rejects (fun () -> Rounds.freeze !r ~round)
+      | Count round ->
+        let arrivals, frozen = touch round in
+        Rounds.count !r ~round
+        = (if frozen then threshold else List.length arrivals)
+      | Dump ->
+        Rounds.dump !r
+        = List.sort compare
+            (List.map (fun (round, (a, f)) -> (round, a, f)) !model)
+      | Restore ->
+        r := Rounds.restore ~threshold (Rounds.dump !r);
+        true)
+    ops
+
+let test_rounds_negative () =
+  let r = Rounds.create ~threshold:1 in
+  Alcotest.(check bool) "mem of a negative round" false
+    (Rounds.mem r ~round:(-1) ~src:0);
+  Alcotest.check_raises "add to a negative round"
+    (Invalid_argument "Rounds: negative round")
+    (fun () -> Rounds.add r ~round:(-1) ~src:0 "x")
+
 let suite =
   [ ( "rng",
       [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
@@ -269,4 +373,8 @@ let suite =
       [ Alcotest.test_case "freeze first threshold" `Quick test_rounds_freeze_first;
         Alcotest.test_case "buffer future rounds" `Quick test_rounds_buffer_future;
         Alcotest.test_case "duplicate rejected" `Quick test_rounds_duplicate;
-        Alcotest.test_case "freeze requires ready" `Quick test_rounds_not_ready_freeze ] ) ]
+        Alcotest.test_case "freeze requires ready" `Quick test_rounds_not_ready_freeze;
+        Gen.qtest
+          (Gen.prop ~count:500 "matches the assoc-list model" arb_rounds_ops
+             rounds_match_model);
+        Alcotest.test_case "negative rounds" `Quick test_rounds_negative ] ) ]

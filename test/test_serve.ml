@@ -523,6 +523,36 @@ let healthz_degradation () =
      Alcotest.(check bool) "violations visible" true
        (Codec.Json.member "violations" j = Some (Codec.Json.Int 1)))
 
+(* Allocation ratchet for the delivery layer: minor words allocated
+   per delivered message while Server drains crash-free jobs without a
+   WAL. Once agreeing rounds do no geometry, this is the transport,
+   effect and round-table machinery each message passes through. The
+   count is the same on every run, so the ratchet catches a delivery
+   regression at its own layer without timing noise. *)
+let delivery_allocation () =
+  List.iter
+    (fun (label, shape, jobs, seed) ->
+       let server = Server.create ~shards:1 ~fuel:64 () in
+       let rng = Runtime.Rng.create seed in
+       for id = 0 to jobs - 1 do
+         Server.submit server (Workload.job ~rng ~id shape)
+       done;
+       let before = Gc.minor_words () in
+       let outcomes = Server.drain server in
+       let words = Gc.minor_words () -. before in
+       Alcotest.(check int) (label ^ ": every job decided") jobs
+         (List.length outcomes);
+       let steps =
+         List.fold_left (fun acc o -> acc + o.Server.steps) 0 outcomes
+       in
+       let per_message = words /. float_of_int steps in
+       if per_message > 140. then
+         Alcotest.failf
+           "%s: %.1f minor words per delivered message (ratchet: 140)" label
+           per_message)
+    [ ("n4-d1", { Workload.n = 4; f = 1; d = 1; recover = false }, 40, 1);
+      ("n6-d2", { Workload.n = 6; f = 1; d = 2; recover = false }, 10, 3) ]
+
 let suite =
   [ ( "serve",
       [ Alcotest.test_case "protocol msg codec roundtrip" `Quick msg_roundtrip;
@@ -542,4 +572,6 @@ let suite =
         Alcotest.test_case "grade checks distinct decisions" `Quick
           grade_distinct_decisions;
         Alcotest.test_case "hostile counts are Malformed" `Quick
-          hostile_frames ] ) ]
+          hostile_frames;
+        Alcotest.test_case "delivery allocation ratchet" `Quick
+          delivery_allocation ] ) ]

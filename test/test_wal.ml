@@ -279,6 +279,47 @@ let test_prefix_torture () =
          [ 0; 1; 2; 3; 4; 5 ])
     [ 15; 16; 17 ]
 
+(* A round number far past t_end in a WAL — as a logged delivery or in
+   a checkpoint's round tables — is dropped before it reaches the
+   round table, which is an array indexed by round: restoring neither
+   raises nor allocates anything near 2^40 slots. *)
+let test_restore_drops_far_rounds () =
+  let config =
+    Chc.Config.make ~n:4 ~f:1 ~d:1 ~eps:(Q.of_ints 1 10) ~lo:Q.zero ~hi:Q.one
+  in
+  let spec = Chc.Instance.spec ~wal:Wal.default_config config in
+  let poly =
+    Geometry.Polytope.of_points ~dim:1 [ [| Q.zero |]; [| Q.one |] ]
+  in
+  let far = 1 lsl 40 in
+  let checkpoint =
+    Recovery.Checkpoint
+      { Recovery.current = 0; h = None; view = None; hist = [];
+        snd_log = []; sent_log = [];
+        rounds = [ (far, [ (1, poly) ], false) ];
+        naive0 = [ (far, [ (2, [| Q.half |]) ], false) ];
+        sv = None }
+  in
+  let delivered =
+    Recovery.Delivered { src = 1; payload = Recovery.Round_msg (far, poly) }
+  in
+  List.iter
+    (fun (label, entries) ->
+       let inst = Chc.Instance.create spec ~me:0 ~input:[| Q.half |] in
+       let before = Gc.allocated_bytes () in
+       (match Chc.Instance.restore inst ~entries with
+        | _ -> ()
+        | exception e ->
+          Alcotest.failf "%s: restore raised %s" label (Printexc.to_string e));
+       let bytes = Gc.allocated_bytes () -. before in
+       if bytes > 65536. then
+         Alcotest.failf "%s: restore allocated %.0f bytes" label bytes;
+       Alcotest.(check int) (label ^ ": still in round 0") 0
+         (Chc.Instance.current_round inst))
+    [ ("logged delivery", [ delivered ]);
+      ("checkpoint", [ checkpoint ]);
+      ("checkpoint then delivery", [ checkpoint; delivered ]) ]
+
 let suite =
   [ ( "wal",
       [ Alcotest.test_case "crash keeps synced prefix + kept tail" `Quick
@@ -300,4 +341,6 @@ let suite =
         Alcotest.test_case "end-to-end strict recovery" `Quick
           test_recovery_end_to_end;
         Alcotest.test_case "disk-prefix torture (checkpoint boundary)" `Quick
-          test_prefix_torture ] ) ]
+          test_prefix_torture;
+        Alcotest.test_case "restore drops rounds past t_end" `Quick
+          test_restore_drops_far_rounds ] ) ]
