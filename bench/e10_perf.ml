@@ -119,7 +119,7 @@ let tests () =
       (Staged.stage
          (let q = Vec.make [Q.of_ints 1 7; Q.of_ints 2 7] in
           fun () ->
-            ignore (Geometry.Lp.in_convex_hull_uncached (Polytope.vertices pA) q)));
+            ignore (Geometry.Lp.in_convex_hull (Polytope.vertices pA) q)));
     Test.make ~name:"hullnd/facets-brute-3d"
       (Staged.stage
          (nocache (fun () -> ignore (Hullnd.enumerate_facets_brute ~dim:3 pts3))));

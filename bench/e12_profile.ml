@@ -78,9 +78,9 @@ let run () =
          (* geom sums every geometry/hull span in the profiled window,
             including the report's verification geometry (correct hull,
             Hausdorff agreement, I_Z optimality) that runs after
-            cc.execute returns — so it can exceed exec, and it shrinks
-            to ~0 on later rows as the memo tables warm up across
-            schedules with identical inputs. *)
+            cc.execute returns — so it can exceed exec. Later rows
+            run the same inputs, so they can read lower where the
+            poly-arena table already holds their d=3 hull duals. *)
          [ name;
            string_of_int causal.Obs.Causal.total_steps;
            string_of_int (Obs.Causal.max_chain_length causal);

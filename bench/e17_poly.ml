@@ -6,7 +6,10 @@
    polytope from scratch. This experiment prices exactly that ablation
    on the protocol's hardest committed shape — the n=7/f=1/d=3
    full execution that e10 ratchets — by running the identical
-   scenario under CHC_POLY=rebuild and CHC_POLY=incremental.
+   scenario under [Poly_engine.with_mode Rebuild] and [Incremental].
+   Rebuild is not a runtime option: it survives as the engine's test
+   oracle and certification fallback, and this ablation is one of
+   the places that still runs it.
 
    Methodology mirrors e16: runs are interleaved (rebuild/incremental,
    [rounds] times), COLD (memo tables flushed before every execution,

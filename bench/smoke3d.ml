@@ -6,8 +6,10 @@
    The same checked run doubles as the kernel-equivalence gate: the
    filtered interval kernel must be an observationally perfect
    stand-in for exact rationals — byte-identical execution transcripts
-   and equal decision polytopes. The polytope-engine gate is the same
-   bar for the incremental engine against the from-scratch rebuild. *)
+   and equal decision polytopes. The polytope-engine gate holds the
+   incremental engine, the only production path, to the same bar
+   against the from-scratch rebuild, which survives as its test
+   oracle and certification fallback. *)
 
 module Q = Numeric.Q
 module Executor = Chc.Executor

@@ -20,14 +20,6 @@ module Admin = Serve.Admin
 module Server = Serve.Server
 module Workload = Serve.Workload
 
-let with_modes kernel poly k =
-  match Cli.set_kernel kernel with
-  | Error msg -> `Error (false, msg)
-  | Ok () ->
-    (match Cli.set_poly poly with
-     | Error msg -> `Error (false, msg)
-     | Ok () -> k ())
-
 (* --- shared daemon flags --------------------------------------------- *)
 
 let shards_arg =
@@ -232,9 +224,9 @@ let concurrency_arg =
        & info ["concurrency"] ~docv:"K"
            ~doc:"Instances held in flight (closed-loop).")
 
-let drive_cmd kernel poly seed shards fuel wal_dir metrics telem metrics_every
+let drive_cmd kernel seed shards fuel wal_dir metrics telem metrics_every
     metrics_out instances concurrency =
-  with_modes kernel poly @@ fun () ->
+  Cli.with_kernel kernel @@ fun () ->
   if instances < 1 then `Error (false, "--instances: must be >= 1")
   else if concurrency < 1 then `Error (false, "--concurrency: must be >= 1")
   else
@@ -265,7 +257,7 @@ let drive_cmd kernel poly seed shards fuel wal_dir metrics telem metrics_every
 
 let drive_term =
   Term.(ret
-          (const drive_cmd $ Cli.kernel_arg $ Cli.poly_arg $ Cli.seed_arg
+          (const drive_cmd $ Cli.kernel_arg $ Cli.seed_arg
            $ shards_arg
            $ fuel_arg $ wal_dir_arg $ metrics_arg $ telem_term
            $ metrics_every_arg $ metrics_out_arg $ instances_arg
@@ -285,9 +277,9 @@ let drive_info =
 
 (* --- resume: restart recovery from a WAL directory -------------------- *)
 
-let resume_cmd kernel poly shards fuel wal_dir metrics telem metrics_every
+let resume_cmd kernel shards fuel wal_dir metrics telem metrics_every
     metrics_out =
-  with_modes kernel poly @@ fun () ->
+  Cli.with_kernel kernel @@ fun () ->
   match wal_dir with
   | None -> `Error (false, "--wal-dir is required for resume")
   | Some dir ->
@@ -344,7 +336,7 @@ let resume_cmd kernel poly shards fuel wal_dir metrics telem metrics_every
 
 let resume_term =
   Term.(ret
-          (const resume_cmd $ Cli.kernel_arg $ Cli.poly_arg $ shards_arg
+          (const resume_cmd $ Cli.kernel_arg $ shards_arg
            $ fuel_arg
            $ wal_dir_arg $ metrics_arg $ telem_term $ metrics_every_arg
            $ metrics_out_arg))
@@ -405,8 +397,8 @@ type client_state =
   | Frames of Frame.decoder
   | Http of Admin.conn
 
-let listen_cmd kernel poly shards fuel wal_dir telem port admin_port limit =
-  with_modes kernel poly @@ fun () ->
+let listen_cmd kernel shards fuel wal_dir telem port admin_port limit =
+  Cli.with_kernel kernel @@ fun () ->
   match telem_setup telem with
   | Error msg -> `Error (false, msg)
   | Ok () ->
@@ -582,7 +574,7 @@ let listen_cmd kernel poly shards fuel wal_dir telem port admin_port limit =
 
 let listen_term =
   Term.(ret
-          (const listen_cmd $ Cli.kernel_arg $ Cli.poly_arg $ shards_arg
+          (const listen_cmd $ Cli.kernel_arg $ shards_arg
            $ fuel_arg
            $ wal_dir_arg $ telem_term $ port_arg $ admin_port_arg
            $ limit_arg))

@@ -77,17 +77,6 @@ let critical_path_arg =
 
 (* --- helpers --------------------------------------------------------- *)
 
-(* Install the --kernel and --poly choices as the process defaults
-   before running; None keeps the ambient defaults (CHC_KERNEL or
-   filtered; CHC_POLY or incremental). *)
-let with_modes kernel poly k =
-  match Cli.set_kernel kernel with
-  | Error msg -> `Error (false, msg)
-  | Ok () ->
-    (match Cli.set_poly poly with
-     | Error msg -> `Error (false, msg)
-     | Ok () -> k ())
-
 (* --- run command ------------------------------------------------------ *)
 
 let rec mkdir_p dir =
@@ -98,7 +87,7 @@ let rec mkdir_p dir =
 
 let run_cmd (c : Cli.common) recover recover_delay keep wal_dir verbose svg
     report_json =
-  with_modes c.Cli.kernel c.Cli.poly @@ fun () ->
+  Cli.with_kernel c.Cli.kernel @@ fun () ->
   match Cli.scenario_of_common c with
   | Error msg -> `Error (false, msg)
   | Ok spec ->
@@ -220,7 +209,7 @@ let run_cmd_info =
 (* --- trace command ---------------------------------------------------- *)
 
 let trace_cmd (c : Cli.common) out critical_path =
-  with_modes c.Cli.kernel c.Cli.poly @@ fun () ->
+  Cli.with_kernel c.Cli.kernel @@ fun () ->
   match Cli.scenario_of_common c with
   | Error msg -> `Error (false, msg)
   | Ok spec ->
@@ -280,7 +269,7 @@ let prof_out_arg =
            ~doc:"Where the Chrome trace-event / Perfetto JSON is written.")
 
 let profile_cmd (c : Cli.common) out =
-  with_modes c.Cli.kernel c.Cli.poly @@ fun () ->
+  Cli.with_kernel c.Cli.kernel @@ fun () ->
   match Cli.scenario_of_common c with
   | Error msg -> `Error (false, msg)
   | Ok spec ->
@@ -428,9 +417,9 @@ let unsound_sync_arg =
                  must find (and shrink) the resulting violations — expect \
                  a non-zero exit. Implies --recover.")
 
-let fuzz_cmd kernel poly differential trials seed time_budget out_dir
+let fuzz_cmd kernel differential trials seed time_budget out_dir
     max_findings canary naive recover unsound_sync =
-  with_modes kernel poly @@ fun () ->
+  Cli.with_kernel kernel @@ fun () ->
   let oracle =
     match canary with
     | None -> Ok Fuzz.Oracle.Paper_properties
@@ -493,7 +482,7 @@ let fuzz_cmd kernel poly differential trials seed time_budget out_dir
 
 let fuzz_term =
   Term.(ret
-          (const fuzz_cmd $ Cli.kernel_arg $ Cli.poly_arg $ differential_arg
+          (const fuzz_cmd $ Cli.kernel_arg $ differential_arg
            $ trials_arg $ Cli.seed_arg $ time_budget_arg $ out_dir_arg
            $ max_findings_arg $ canary_arg $ naive_space_arg
            $ recover_space_arg $ unsound_sync_arg))
@@ -518,8 +507,8 @@ let file_arg =
        & info [] ~docv:"FILE"
            ~doc:"A counterexample artifact (or bare scenario) JSON file.")
 
-let replay_cmd kernel poly file =
-  with_modes kernel poly @@ fun () ->
+let replay_cmd kernel file =
+  Cli.with_kernel kernel @@ fun () ->
   match Fuzz.Artifact.load_any file with
   | Error e ->
     (* Typed scenario/artifact data error: mapped to exit 65
@@ -540,7 +529,7 @@ let replay_cmd kernel poly file =
        `Error (false, "violation reproduced"))
 
 let replay_term =
-  Term.(ret (const replay_cmd $ Cli.kernel_arg $ Cli.poly_arg $ file_arg))
+  Term.(ret (const replay_cmd $ Cli.kernel_arg $ file_arg))
 
 let replay_cmd_info =
   Cmd.info "replay"

@@ -39,11 +39,6 @@ let parse_kernel s =
   | Ok m -> Ok m
   | Error msg -> Error ("--kernel: " ^ msg)
 
-let parse_poly s =
-  match Geometry.Poly_engine.parse s with
-  | Ok m -> Ok m
-  | Error msg -> Error ("--poly: " ^ msg)
-
 let parse_point ~d s =
   let coords = String.split_on_char ',' s |> List.map String.trim in
   if List.length coords <> d then
@@ -102,7 +97,6 @@ type common = {
   scheduler : string;
   naive : bool;
   kernel : string option;
-  poly : string option;
   inputs : string option;
   faulty : string option;
 }
@@ -156,17 +150,6 @@ let kernel_arg =
                  $(b,CHC_KERNEL) environment variable, else filtered. \
                  Results are identical in both modes.")
 
-let poly_arg =
-  Arg.(value & opt (some string) None
-       & info ["poly"] ~docv:"rebuild|incremental"
-           ~doc:"Polytope engine: $(b,incremental) reuses hull/facet \
-                 structure round over round (arena-cached duals, \
-                 warm-started beneath-beyond, certified float-guided \
-                 intersection); $(b,rebuild) reconstructs everything \
-                 from scratch (the oracle). Default: the $(b,CHC_POLY) \
-                 environment variable, else incremental. Results are \
-                 identical in both modes.")
-
 let inputs_arg =
   Arg.(value & opt (some string) None
        & info ["inputs"] ~docv:"P1;P2;..."
@@ -179,13 +162,12 @@ let faulty_arg =
            ~doc:"Faulty process ids (default: 0..f-1).")
 
 let common_args =
-  let mk n f d eps lo hi seed scheduler naive kernel poly inputs faulty =
-    { n; f; d; eps; lo; hi; seed; scheduler; naive; kernel; poly; inputs;
-      faulty }
+  let mk n f d eps lo hi seed scheduler naive kernel inputs faulty =
+    { n; f; d; eps; lo; hi; seed; scheduler; naive; kernel; inputs; faulty }
   in
   Term.(const mk $ n_arg $ f_arg $ d_arg $ eps_arg $ lo_arg $ hi_arg
-        $ seed_arg $ scheduler_arg $ naive_arg $ kernel_arg $ poly_arg
-        $ inputs_arg $ faulty_arg)
+        $ seed_arg $ scheduler_arg $ naive_arg $ kernel_arg $ inputs_arg
+        $ faulty_arg)
 
 let scenario_of_common c =
   let* eps = parse_q "--eps" c.eps in
@@ -216,9 +198,10 @@ let set_kernel = function
   | None -> Ok ()
   | Some s -> Result.map Numeric.Kernel.set_default (parse_kernel s)
 
-let set_poly = function
-  | None -> Ok ()
-  | Some s -> Result.map Geometry.Poly_engine.set_default (parse_poly s)
+let with_kernel kernel k =
+  match set_kernel kernel with
+  | Error msg -> `Error (false, msg)
+  | Ok () -> k ()
 
 let recoverize ~delay ~keep spec =
   let crash =

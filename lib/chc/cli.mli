@@ -21,10 +21,6 @@ val parse_kernel : string -> (Numeric.Kernel.mode, string) result
 (** Parse a [--kernel exact|filtered] argument
     ({!Numeric.Kernel.parse} with the CLI error prefix). *)
 
-val parse_poly : string -> (Geometry.Poly_engine.mode, string) result
-(** Parse a [--poly rebuild|incremental] argument
-    ({!Geometry.Poly_engine.parse} with the CLI error prefix). *)
-
 val parse_point : d:int -> string -> (Geometry.Vec.t, string) result
 (** Comma-separated coordinates, exactly [d] of them. *)
 
@@ -58,18 +54,17 @@ type common = {
   scheduler : string;
   naive : bool;
   kernel : string option;
-  poly : string option;
   inputs : string option;
   faulty : string option;
 }
-(** The thirteen flags shared by every subcommand that shapes an
+(** The twelve flags shared by every subcommand that shapes an
     execution. String-typed fields are raw command-line text;
     {!scenario_of_common} owns all validation, so error messages are
     identical wherever the flags are used. *)
 
 val common_args : common Cmdliner.Term.t
 (** [-n -f -d --eps --lo --hi --seed --scheduler --naive-round0
-    --kernel --poly --inputs --faulty] as one term. *)
+    --kernel --inputs --faulty] as one term. *)
 
 val seed_arg : int Cmdliner.Term.t
 (** [--seed] alone — for subcommands (fuzz, serve) that take a seed
@@ -77,9 +72,6 @@ val seed_arg : int Cmdliner.Term.t
 
 val kernel_arg : string option Cmdliner.Term.t
 (** [--kernel] alone. *)
-
-val poly_arg : string option Cmdliner.Term.t
-(** [--poly] alone. *)
 
 val scenario_of_common : common -> (Scenario.t, string) result
 (** Validate into a randomized {!Scenario} ([Scenario.default] with
@@ -91,9 +83,11 @@ val set_kernel : string option -> (unit, string) result
 (** Install a [--kernel] choice as the process-wide default
     ([None] keeps the ambient default: [CHC_KERNEL], else filtered). *)
 
-val set_poly : string option -> (unit, string) result
-(** Install a [--poly] choice as the process-wide default ([None]
-    keeps the ambient default: [CHC_POLY], else incremental). *)
+val with_kernel :
+  string option -> (unit -> ([> `Error of bool * string ] as 'a)) -> 'a
+(** [with_kernel kernel k] installs [kernel] as {!set_kernel} does and
+    runs [k], or returns a cmdliner [`Error] naming the bad value —
+    the prologue of every subcommand that takes [--kernel]. *)
 
 val recoverize :
   delay:int -> keep:int -> Scenario.t -> Scenario.t

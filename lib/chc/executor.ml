@@ -94,7 +94,10 @@ let round_metrics ?witnesses ~faulty (result : Cc.result) =
            in
            match witness_polys_at t with
            | [] | [ _ ] -> None
-           | polys -> Some (pairs 0.0 polys)
+           | polys ->
+             (* equal witnesses are 0 apart, so the distinct ones have
+                the same largest pairwise distance *)
+             Some (pairs 0.0 (Polytope.distinct polys))
          in
          Some
            { Obs.Report.round = t; messages; wire_bytes; max_vertices;

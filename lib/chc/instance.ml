@@ -115,20 +115,15 @@ let round0_computed_c =
 let round0_shared_c =
   Obs.Metrics.counter "chc_round0_total" ~labels:[ ("result", "shared") ]
 
-let create ?engine spec ~me ~input =
+let create spec ~me ~input =
   let { Config.n; f; d; _ } = spec.config in
   Config.validate_input spec.config input;
   let threshold = n - f in
-  let engine =
-    match engine with
-    | Some e -> e
-    | None -> Geometry.Poly_engine.create_handle ()
-  in
   { id = me;
     n;
     f;
     d;
-    engine;
+    engine = Geometry.Poly_engine.create_handle ();
     t_end = spec.t_end;
     round0 = spec.round0;
     table = spec.round0_table;
@@ -258,16 +253,16 @@ and try_advance t =
     let y = Rounds.freeze t.rounds ~round:t.current in
     let h =
       (* The engine handle scopes warm-start reuse: round t's hulls
-         seed round t+1's beneath-beyond restarts (and, under a
-         daemon's shared per-shard handle, other instances'). *)
+         seed round t+1's beneath-beyond restarts. *)
       Geometry.Poly_engine.with_handle t.engine @@ fun () ->
       Obs.Prof.with_span "cc.round" (fun () ->
           let polys = List.map snd y in
           (* Per-round grid lifecycle: every hull construction in
              this round's average shares one denominator grid. The
              build is deferred — rounds whose inputs all agree (the
-             L operator merges them into one term) or that the memo
-             tables fully serve never pay for the lcm scan. *)
+             L operator merges them into one term) or whose Minkowski
+             pairs the memo table serves never pay for the lcm
+             scan. *)
           Numeric.Grid.with_round
             (fun () ->
                Numeric.Grid.make_scaled ~mult:(List.length polys)

@@ -117,16 +117,12 @@ val spec :
 
 type t
 
-val create :
-  ?engine:Geometry.Poly_engine.handle ->
-  spec -> me:pid -> input:Geometry.Vec.t -> t
+val create : spec -> me:pid -> input:Geometry.Vec.t -> t
 (** A fresh process [me] with its own input (a process never needs the
     other inputs — that is the point of the protocol). All of the
-    instance's polytope construction runs under [engine]
+    instance's polytope construction runs under its own engine handle
     ({!Geometry.Poly_engine.with_handle}), so round [t]'s hulls
-    warm-start round [t+1]'s; pass a shared handle (the daemon passes
-    one per shard) to extend that reuse across same-spec instances.
-    Default: a private handle per instance.
+    warm-start round [t+1]'s.
     @raise Invalid_argument if the input is malformed for the config. *)
 
 val start : t -> effect list

@@ -67,12 +67,12 @@ let project_poly2d p poly =
       !best
     end
 
-let project_hull_nd ~dim p pts =
-  (* The projection lies in the relative interior of some face spanned
-     by at most dim+1 affinely independent vertices; every candidate
-     subset yields an upper bound and the true face is enumerated, so
-     the minimum is exact. *)
-  let verts = Hullnd.extreme_points pts in
+(* [verts] must already be the hull's extreme points. The projection
+   lies in the relative interior of some face spanned by at most
+   dim+1 affinely independent vertices; every candidate subset yields
+   an upper bound and the true face is enumerated, so the minimum is
+   exact. *)
+let project_hull_nd ~dim p verts =
   if List.exists (fun v -> Vec.equal v p) verts then (Q.zero, p)
   else if Lp.in_convex_hull verts p then (Q.zero, p)
   else begin
@@ -109,18 +109,21 @@ let project_point_hull ~dim p pts =
       else (Q.zero, p)
     end
     else if dim = 2 then project_poly2d p (Hull2d.hull pts)
-    else project_hull_nd ~dim p pts
+    else project_hull_nd ~dim p (Hullnd.extreme_points pts)
 
 let dist2_point_hull ~dim p pts = fst (project_point_hull ~dim p pts)
 
 let directed2 ~dim from_pts to_pts =
-  (* Reduce the target to its extreme points once — every projection
-     below would otherwise redo the extraction (memoized, but the hit
-     still hashes the whole vertex list). Same hull, same distances. *)
-  let to_pts = if dim >= 3 then Hullnd.extreme_points to_pts else to_pts in
-  List.fold_left
-    (fun acc v -> Q.max acc (dist2_point_hull ~dim v to_pts))
-    Q.zero from_pts
+  (* Reduce the target to its extreme points once, not once per
+     projected vertex. Same hull, same distances. *)
+  let dist2 =
+    if dim >= 3 then begin
+      let verts = Hullnd.extreme_points to_pts in
+      fun v -> fst (project_hull_nd ~dim v verts)
+    end
+    else fun v -> dist2_point_hull ~dim v to_pts
+  in
+  List.fold_left (fun acc v -> Q.max acc (dist2 v)) Q.zero from_pts
 
 let hausdorff2 ~dim p q =
   match p, q with

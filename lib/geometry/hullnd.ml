@@ -368,12 +368,12 @@ let incremental_planes_3d pts0 =
        else None
      with Exit -> None)
 
-(* The engine front door for 3-d hulls: Poly_engine decides per the
-   CHC_POLY mode whether to run the certified float-guided build (with
-   arena caching and warm-start reuse) or this module's exact
-   beneath-beyond, and falls back to the exact path whenever
-   certification fails. Either way the resulting plane set is the
-   canonical one, so downstream consumers cannot tell the modes
+(* The engine front door for 3-d hulls: Poly_engine runs its
+   certified float-guided build (with arena caching and warm-start
+   reuse) and falls back to this module's exact beneath-beyond
+   whenever certification fails, or runs the exact path alone under
+   [with_mode Rebuild]. Either way the resulting plane set is the
+   canonical one, so downstream consumers cannot tell the paths
    apart. *)
 let dual_3d pts =
   Poly_engine.dual_3d pts ~rebuild:(fun () ->
@@ -643,40 +643,25 @@ let is_vertex_by_facets ~dim facets p =
   in
   List.length tight >= dim && Linsys.rank (Array.of_list tight) = dim
 
-(* Keyed on the deduped point list. Vertex extraction repeats verbatim
-   on the grading paths (every Hausdorff projection and facet scan of
-   the same polytope re-asks for its extreme points), so the table has
-   the same hit profile as Polytope's hull/minkowski tables. *)
-let extreme_memo : (Vec.t list, Vec.t list) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"extreme-points" ~max_size:4096
-    ~hash:(fun vs ->
-        List.fold_left
-          (fun acc v -> ((acc * 1000003) + Vec.hash v) land max_int)
-          17 vs)
-    ~equal:(fun a b ->
-        List.compare_lengths a b = 0 && List.for_all2 Vec.equal a b)
-    ()
-
 let extreme_points pts =
   let pts = Obs.Prof.with_span "hullnd.dedupe" (fun () -> dedupe_points pts) in
   match pts with
   | [] | [_] -> pts
   | p0 :: _ ->
-    Parallel.Memo.find_or_add extreme_memo pts (fun () ->
-        if Vec.dim p0 = 3 then
-          match dual_3d pts with
-          | None -> extreme_points_lp pts
-          | Some d ->
-            (* Tight tests run against the integer-scaled copies;
-               scaling preserves the point order, so the i-th scaled
-               point answers for the i-th original. The facets arrive
-               already collapsed to primitive representatives. *)
-            Obs.Prof.with_span "hullnd.tight_scan" (fun () ->
-            List.combine d.Poly_engine.pts d.Poly_engine.spts
-            |> List.filter (fun (_, sp) ->
-                is_vertex_by_facets ~dim:3 d.Poly_engine.facets sp)
-            |> List.map fst)
-        else extreme_points_lp pts)
+    if Vec.dim p0 = 3 then
+      match dual_3d pts with
+      | None -> extreme_points_lp pts
+      | Some d ->
+        (* Tight tests run against the integer-scaled copies; scaling
+           preserves the point order, so the i-th scaled point answers
+           for the i-th original. The facets arrive already collapsed
+           to primitive representatives. *)
+        Obs.Prof.with_span "hullnd.tight_scan" (fun () ->
+        List.combine d.Poly_engine.pts d.Poly_engine.spts
+        |> List.filter (fun (_, sp) ->
+            is_vertex_by_facets ~dim:3 d.Poly_engine.facets sp)
+        |> List.map fst)
+    else extreme_points_lp pts
 
 (* Testing hook for the static visibility screen: [Some v] when the
    screen decides (v = "a·p - b > 0"), [None] when it falls through to

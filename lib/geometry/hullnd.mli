@@ -45,17 +45,18 @@ val mem_hrep : hrep -> Vec.t -> bool
 
 val dedupe_points : Vec.t list -> Vec.t list
 (** Sort lexicographically and drop duplicates — the canonical point
-    order used throughout this module (exposed for cache keys). *)
+    order used throughout this module and expected by {!dual_3d}. *)
 
 val dual_3d : Vec.t list -> Poly_engine.dual option
 (** Persistent dual (V-rep + integer H-rep) of the hull of a deduped,
     sorted, full-dimensional 3-d point list, built through
-    {!Poly_engine} per the [CHC_POLY] mode: the certified float-guided
-    engine with arena/warm-start reuse under [incremental], this
-    module's exact beneath–beyond under [rebuild] (also the fallback
-    when certification fails). The facet set is the canonical primitive
-    plane set either way. [None] when the input is lower-dimensional or
-    the exact construction aborts. *)
+    {!Poly_engine}: the certified float-guided engine with arena and
+    warm-start reuse, falling back to this module's exact
+    beneath–beyond when certification fails. Under
+    [Poly_engine.with_mode Rebuild] (the test oracle) the exact path
+    runs alone. The facet set is the canonical primitive plane set
+    either way. [None] when the input is lower-dimensional or the
+    exact construction aborts. *)
 
 (** {1 Internals exposed for cross-checking}
 

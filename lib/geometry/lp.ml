@@ -213,7 +213,8 @@ let feasible_system ~dim ~eqs ~ineqs =
   | Some x ->
     Some (Array.init dim (fun j -> Q.sub x.(j) x.(dim + j)))
 
-let in_convex_hull_uncached pts p =
+let in_convex_hull pts p =
+  Obs.Prof.with_span "geometry.lp" @@ fun () ->
   match pts with
   | [] -> false
   | first :: _ ->
@@ -231,29 +232,3 @@ let in_convex_hull_uncached pts p =
       let eq = ones :: List.init d coord_row in
       feasible_eq ~eq ~nvars:k <> None
     end
-
-(* Memoized front end: membership queries repeat heavily across
-   processes once the h_i[t] polytopes coincide (and across the prune
-   passes of identical Minkowski reductions). Keyed on the full
-   (column set, query point) pair; bounded, domain-safe, and
-   transparent — a hit returns the certified answer for a structurally
-   equal instance. *)
-let memo_key_hash (pts, p) =
-  List.fold_left
-    (fun acc v -> ((acc * 1000003) + Vec.hash v) land max_int)
-    (Vec.hash p) pts
-
-let memo_key_equal (pts1, p1) (pts2, p2) =
-  Vec.equal p1 p2
-  && List.compare_lengths pts1 pts2 = 0
-  && List.for_all2 Vec.equal pts1 pts2
-
-let memo : (Vec.t list * Vec.t, bool) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"lp-membership" ~max_size:8192 ~hash:memo_key_hash
-    ~equal:memo_key_equal ()
-
-let in_convex_hull pts p =
-  Parallel.Memo.find_or_add memo (pts, p)
-    (fun () ->
-       Obs.Prof.with_span "geometry.lp" (fun () ->
-           in_convex_hull_uncached pts p))

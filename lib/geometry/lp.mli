@@ -37,8 +37,4 @@ val feasible_system :
 
 val in_convex_hull : Vec.t list -> Vec.t -> bool
 (** [in_convex_hull pts p]: is [p] a convex combination of [pts]?
-    Exact. [false] on an empty point list. Answers are served from a
-    bounded domain-safe memo table keyed on the whole instance (see
-    {!Parallel.Memo}); [in_convex_hull_uncached] bypasses it. *)
-
-val in_convex_hull_uncached : Vec.t list -> Vec.t -> bool
+    Exact. [false] on an empty point list. *)

@@ -36,10 +36,10 @@
      so the result equals P exactly, no matter what the floats missed.
 
    Any certification failure falls back to the caller's exact path,
-   which stays the differential-fuzz oracle (CHC_POLY=rebuild). The
-   engine is therefore observationally identical to the rebuild path:
-   executor reports and traces are byte-for-byte the same under either
-   mode.
+   which also runs alone under [with_mode Rebuild], the oracle of the
+   differential tests and fuzzing. The engine is therefore
+   observationally identical to the rebuild path: executor reports and
+   traces are byte-for-byte the same under either mode.
 
    Persistence: a bounded arena (a Parallel.Memo table, so it obeys
    the same bypass discipline as every other kernel cache) maps
@@ -48,68 +48,32 @@
    A per-handle ring of recent duals seeds warm starts: when a new
    point set contains all corners of a recent soup, beneath-beyond
    restarts from that soup (the previous conflict region) and inserts
-   only the new points. Handles are carried in protocol state
-   (Chc.Instance) and per shard (Serve.Server); WAL replay simply
-   recomputes — every cached value is a certified exact result, so
-   replay reconstructs the same polytopes whether or not the cache is
-   warm. *)
+   only the new points. Each protocol instance (Chc.Instance) carries
+   its own handle; WAL replay simply recomputes — every cached value
+   is a certified exact result, so replay reconstructs the same
+   polytopes whether or not the cache is warm. *)
 
 module Q = Numeric.Q
 module B = Numeric.Bigint
 module Filter = Numeric.Filter
 
 (* ------------------------------------------------------------------ *)
-(* Engine selection: CHC_POLY, mirroring the CHC_KERNEL discipline
-   (process default from the environment with warn-and-clamp, CLI
-   override via [set_default], domain-local override via
-   [with_mode]). *)
+(* Engine selection: the incremental engine always, unless a test
+   oracle scopes [with_mode Rebuild] over the calling domain. *)
 
 type mode = Rebuild | Incremental
 
-let to_string = function
-  | Rebuild -> "rebuild"
-  | Incremental -> "incremental"
+let override_key : mode Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Incremental)
 
-let parse s =
-  match String.lowercase_ascii (String.trim s) with
-  | "rebuild" -> Ok Rebuild
-  | "incremental" -> Ok Incremental
-  | other ->
-    Error
-      (Printf.sprintf
-         "unknown engine %S (expected \"rebuild\" or \"incremental\")" other)
-
-let env_default () =
-  match Sys.getenv_opt "CHC_POLY" with
-  | None | Some "" -> Incremental
-  | Some s ->
-    (match parse s with
-     | Ok m -> m
-     | Error msg ->
-       Printf.eprintf
-         "chc: ignoring CHC_POLY: %s; using \"incremental\"\n%!" msg;
-       Incremental)
-
-let default = Atomic.make (env_default ())
-
-let set_default m = Atomic.set default m
-let get_default () = Atomic.get default
-
-let override_key : mode option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let mode () =
-  match !(Domain.DLS.get override_key) with
-  | Some m -> m
-  | None -> Atomic.get default
+let mode () = Domain.DLS.get override_key
 
 let incremental () = mode () = Incremental
 
 let with_mode m f =
-  let slot = Domain.DLS.get override_key in
-  let saved = !slot in
-  slot := Some m;
-  Fun.protect ~finally:(fun () -> slot := saved) f
+  let saved = mode () in
+  Domain.DLS.set override_key m;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set override_key saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Engine metrics (exposed via chc_serve /metrics and every other
@@ -149,14 +113,6 @@ let isect_fast_c =
     ~help:"intersection vertex enumerations answered by the \
            float-guided path"
     ~labels:[ ("path", "float") ]
-
-let support_hit_c =
-  Obs.Metrics.counter "chc_poly_support_total"
-    ~help:"support-function cache lookups"
-    ~labels:[ ("result", "hit") ]
-
-let support_miss_c =
-  Obs.Metrics.counter "chc_poly_support_total" ~labels:[ ("result", "miss") ]
 
 (* ------------------------------------------------------------------ *)
 (* Canonical constraint/point helpers. These are the engine's (and,
@@ -696,23 +652,18 @@ let arena : (Vec.t list, dual option) Parallel.Memo.t =
   Parallel.Memo.create ~name:"poly-arena" ~max_size:4096
     ~hash:verts_hash ~equal:verts_equal ()
 
-(* Engine handles: the mutable per-instance (or per-shard) state —
-   a ring of recent duals for warm starts, the last intersection's
-   vertex set for seeding, and reuse counters. Carried in protocol
-   state by Chc.Instance and per shard by Serve.Server; a domain-local
+(* Engine handles: the mutable per-instance state — a ring of recent
+   duals for warm starts and the last intersection's vertex set for
+   seeding. Carried in protocol state by Chc.Instance; a domain-local
    default serves plain library callers. *)
 type handle = {
   ring : dual option array;
   mutable ring_ix : int;
-  mutable arena_hits : int;
-  mutable arena_misses : int;
-  mutable warm_builds : int;
   mutable last_isect : Vec.t list option;
 }
 
 let create_handle () =
-  { ring = Array.make 8 None; ring_ix = 0; arena_hits = 0;
-    arena_misses = 0; warm_builds = 0; last_isect = None }
+  { ring = Array.make 8 None; ring_ix = 0; last_isect = None }
 
 let handle_key : handle option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -739,12 +690,6 @@ let with_handle h f =
   | exception e ->
     slot := saved;
     raise e
-
-let handle_reuse h = h.arena_hits + h.warm_builds
-
-let handle_stats h =
-  [ ("arena_hits", h.arena_hits); ("arena_misses", h.arena_misses);
-    ("warm_builds", h.warm_builds) ]
 
 let ring_push h d =
   h.ring.(h.ring_ix) <- Some d;
@@ -790,10 +735,10 @@ let probe_warm h (pts_arr : Vec.t array) (scale : B.t) =
 (* [dual_3d pts ~rebuild]: the engine's front door for 3-d hull
    construction. [pts] is the deduped sorted unscaled vertex list;
    [rebuild] is the caller's exact construction (scaling included),
-   used verbatim under CHC_POLY=rebuild and as the fallback whenever
-   the float-guided build fails certification. Under
-   CHC_POLY=incremental the result is arena-cached and pushed onto the
-   current handle's warm-start ring. *)
+   used verbatim under [with_mode Rebuild] and as the fallback
+   whenever the float-guided build fails certification. Otherwise the
+   result is arena-cached and pushed onto the current handle's
+   warm-start ring. *)
 let dual_3d pts ~rebuild =
   if not (incremental ()) then rebuild ()
   else begin
@@ -807,63 +752,18 @@ let dual_3d pts ~rebuild =
       let warm = probe_warm h arr scale in
       match hull_3d ?warm arr with
       | Some soup ->
-        (match warm with
-         | Some _ ->
-           h.warm_builds <- h.warm_builds + 1;
-           Obs.Metrics.incr hull_warm_c
-         | None -> Obs.Metrics.incr hull_float_c);
+        Obs.Metrics.incr
+          (match warm with Some _ -> hull_warm_c | None -> hull_float_c);
         Some { pts; spts; facets = soup.planes; scale; shape = Some soup }
       | None ->
         Obs.Metrics.incr hull_exact_c;
         rebuild ()
     in
     let d = Parallel.Memo.find_or_add arena pts build in
-    if !ran then begin
-      h.arena_misses <- h.arena_misses + 1;
-      Obs.Metrics.incr arena_miss_c
-    end
-    else begin
-      h.arena_hits <- h.arena_hits + 1;
-      Obs.Metrics.incr arena_hit_c
-    end;
+    Obs.Metrics.incr (if !ran then arena_miss_c else arena_hit_c);
     (match d with Some d -> ring_push h d | None -> ());
     d
   end
-
-(* ------------------------------------------------------------------ *)
-(* Delta operations. *)
-
-(* [merge d extra]: the dual of conv(d.pts ∪ extra), warm-started from
-   [d]'s certified soup — beneath-beyond restarted from the previous
-   conflict region, inserting only the genuinely new points. [None]
-   when the warm construction fails certification (callers rebuild
-   through {!dual_3d}). *)
-let merge d extra =
-  let pts = dedupe_points (List.rev_append extra d.pts) in
-  if verts_equal pts d.pts then Some d
-  else begin
-    let spts, scale = Numeric.Grid.scale_points pts in
-    let arr = Array.of_list spts in
-    let warm =
-      match d.shape with
-      | Some soup when Array.length soup.tris > 0 ->
-        let sq = Q.of_bigint scale in
-        Some (Array.of_list (List.map (Vec.scale sq) d.pts), soup.tris)
-      | _ -> None
-    in
-    match hull_3d ?warm arr with
-    | None -> None
-    | Some soup ->
-      (match warm with
-       | Some _ -> Obs.Metrics.incr hull_warm_c
-       | None -> Obs.Metrics.incr hull_float_c);
-      let built = { pts; spts; facets = soup.planes; scale; shape = Some soup } in
-      (match Parallel.Memo.find_or_add arena pts (fun () -> Some built) with
-       | Some d' -> ring_push (current_handle ()) d'; Some d'
-       | None -> Some built)
-  end
-
-let insert_point d p = merge d [ p ]
 
 (* ------------------------------------------------------------------ *)
 (* Vertex extraction against a known facet list (same tight-rank test
@@ -903,15 +803,14 @@ let fsolve3 r0 r1 r2 b0 b1 b2 =
 
 let isect_max_constraints = 160
 
-(* [vertices_3d ?prev ~ineqs]: the exact vertex set of
+(* [vertices_3d ~ineqs]: the exact vertex set of
    P = {x : a·x <= b for all (a,b) in ineqs}, certified complete, or
    [None] (empty / lower-dimensional / too many constraints /
-   certificate failure — callers run the exact enumeration). [prev]
-   seeds candidate vertices (the delta path: a previous round's
-   intersection result); seeds are only ever admitted through the
-   exact membership test, so they cannot perturb the result, and when
-   omitted the current handle's last result is used. *)
-let vertices_3d ?prev ~ineqs () =
+   certificate failure — callers run the exact enumeration). The
+   current handle's last result seeds candidate vertices; seeds are
+   only ever admitted through the exact membership test, so they
+   cannot perturb the result. *)
+let vertices_3d ~ineqs =
   if not (incremental ()) then None
   else begin
     let m = List.length ineqs in
@@ -1032,8 +931,7 @@ let vertices_3d ?prev ~ineqs () =
         (* Seed points from the previous intersection (delta reuse):
            admitted only through the exact membership test. *)
         let seeds =
-          let src = match prev with Some _ -> prev | None -> h.last_isect in
-          match src with
+          match h.last_isect with
           | None -> []
           | Some vs -> List.filter member vs
         in
@@ -1084,35 +982,6 @@ let vertices_3d ?prev ~ineqs () =
         end
       end
     end
-  end
-
-let intersect_delta ?prev ~ineqs () = vertices_3d ?prev ~ineqs ()
-
-(* ------------------------------------------------------------------ *)
-(* Support-function cache, keyed by (canonical vertex list,
-   direction). Hausdorff/volume grading re-evaluates supports of the
-   same polytope in the same facet-normal directions round over
-   round; the cold evaluation is supplied by the caller (Polytope),
-   so cached and cold answers are definitionally interchangeable. *)
-
-let support_memo : (Vec.t list * Vec.t, Q.t * Vec.t) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"poly-support" ~max_size:8192
-    ~hash:(fun (vs, dir) ->
-        ((verts_hash vs * 1000003) + Vec.hash dir) land max_int)
-    ~equal:(fun (vs1, d1) (vs2, d2) -> verts_equal vs1 vs2 && Vec.equal d1 d2)
-    ()
-
-let support verts dir ~eval =
-  if not (incremental ()) then eval ()
-  else begin
-    let ran = ref false in
-    let v =
-      Parallel.Memo.find_or_add support_memo (verts, dir) (fun () ->
-          ran := true;
-          eval ())
-    in
-    Obs.Metrics.incr (if !ran then support_miss_c else support_hit_c);
-    v
   end
 
 (* ------------------------------------------------------------------ *)

@@ -26,9 +26,11 @@
     identical} — the basis for the byte-identical-trace acceptance
     gate and the [Engine_equivalence] differential-fuzz oracle.
 
-    Mode selection mirrors the [CHC_KERNEL] discipline:
-    [CHC_POLY=rebuild|incremental], a process default, and a
-    domain-local override ({!with_mode}). *)
+    The engine has one production path, {!Incremental}. {!Rebuild},
+    the exact construction alone, is kept as the oracle of the
+    differential tests, the fuzzer, smoke3d and E17, which select it
+    for the calling domain with {!with_mode}; it is also the fallback
+    the incremental path certifies against. *)
 
 module Q = Numeric.Q
 module B = Numeric.Bigint
@@ -39,20 +41,9 @@ type mode =
   | Rebuild      (** exact from-scratch construction, the oracle *)
   | Incremental  (** certified float-guided engine with arena reuse *)
 
-val to_string : mode -> string
-val parse : string -> (mode, string) result
-
-val env_default : unit -> mode
-(** [CHC_POLY] when set and valid; warns on stderr and returns
-    {!Incremental} otherwise. *)
-
-val set_default : mode -> unit
-val get_default : unit -> mode
-
 val mode : unit -> mode
-(** Domain-local override when installed, else the process default. *)
-
-val incremental : unit -> bool
+(** The calling domain's {!with_mode} override; {!Incremental} outside
+    any. *)
 
 val with_mode : mode -> (unit -> 'a) -> 'a
 (** Domain-local override for the dynamic extent of the callback;
@@ -83,62 +74,26 @@ val dual_3d : Vec.t list -> rebuild:(unit -> dual option) -> dual option
     the input is lower-dimensional or otherwise out of scope — the
     caller keeps its exact handling. *)
 
-(** {1 Delta operations} *)
-
-val insert_point : dual -> Vec.t -> dual option
-(** [insert_point d p] is the dual of conv(pts(d) ∪ {p}), warm-started
-    from [d]'s facet soup. [None] when certification fails (rebuild
-    through {!dual_3d}). *)
-
-val merge : dual -> Vec.t list -> dual option
-(** [merge d extra] is the dual of conv(pts(d) ∪ extra); beneath–beyond
-    restarts from [d]'s conflict region, inserting only genuinely new
-    points. [None] when certification fails. *)
-
-val vertices_3d :
-  ?prev:Vec.t list -> ineqs:(Vec.t * Q.t) list -> unit -> Vec.t list option
-(** [vertices_3d ~ineqs ()] is the exact vertex set of
-    [{x : a·x <= b}] for 3-d constraint systems, enumerated by
-    pair-line clipping and certified complete; [None] when the
-    certificate fails, the system is degenerate, or the engine is in
-    {!Rebuild} mode — callers run the exact enumeration. [prev] seeds
-    candidate vertices from a previous round's result (each admitted
-    only through the exact membership test); when omitted, the current
-    handle's last intersection result is used. *)
-
-val intersect_delta :
-  ?prev:Vec.t list -> ineqs:(Vec.t * Q.t) list -> unit -> Vec.t list option
-(** {!vertices_3d} under its delta-operation name: intersection of a
-    new constraint system reusing the previous round's vertex set as
-    candidate seeds. *)
-
-(** {1 Support-function cache} *)
-
-val support : Vec.t list -> Vec.t -> eval:(unit -> Q.t * Vec.t) -> Q.t * Vec.t
-(** [support verts dir ~eval] memoizes [eval ()] — the exact support
-    value and argmax vertex of [verts] in direction [dir] — keyed on
-    the canonical vertex list and direction, so Hausdorff/volume
-    grading reuses evaluations round over round. Under {!Rebuild} this
-    is [eval ()] verbatim. *)
+val vertices_3d : ineqs:(Vec.t * Q.t) list -> Vec.t list option
+(** [vertices_3d ~ineqs] is the exact vertex set of [{x : a·x <= b}]
+    for 3-d constraint systems, enumerated by pair-line clipping and
+    certified complete; [None] when the certificate fails, the system
+    is degenerate, or the engine is in {!Rebuild} mode — callers run
+    the exact enumeration. The current handle's last intersection
+    result seeds candidate vertices, each admitted only through the
+    exact membership test. *)
 
 (** {1 Engine handles}
 
-    A handle carries the warm-start ring (most recent duals) and reuse
-    telemetry. One handle is installed per protocol instance (and per
-    [chc_serve] shard); a per-domain handle backs everything else. *)
+    A handle carries the warm-start ring (most recent duals) and the
+    last intersection's vertices. One handle is installed per protocol
+    instance; a per-domain handle backs everything else. *)
 
 type handle
 
 val create_handle : unit -> handle
 val with_handle : handle -> (unit -> 'a) -> 'a
 (** Domain-local installation for the dynamic extent of the callback. *)
-
-val handle_reuse : handle -> int
-(** Arena hits + warm-started builds — the "engine reuse" figure
-    surfaced in [chc_serve] metrics. *)
-
-val handle_stats : handle -> (string * int) list
-(** Labelled reuse telemetry: arena hits/misses, warm builds. *)
 
 (** {1 Canonical-form helpers}
 

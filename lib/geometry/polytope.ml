@@ -19,9 +19,9 @@ let canonicalize ~dim pts =
   | _ -> Hullnd.extreme_points pts
 
 (* ------------------------------------------------------------------ *)
-(* Memo tables for the d >= 3 hot paths. Once ε-agreement kicks in the
-   h_i[t] polytopes coincide across processes, so hull constructions,
-   Minkowski pairs and subset intersections repeat verbatim; keys are
+(* The Minkowski table: under an adversarial (lag) scheduler several
+   processes average the same polytopes in one round, and the d >= 3
+   vertex-sum hull is the dearest step of the L operator. Keys are
    canonical vertex lists, so a hit returns the value of a
    structurally identical computation (see Parallel.Memo). *)
 
@@ -33,26 +33,10 @@ let verts_hash vs =
 let verts_equal a b =
   List.compare_lengths a b = 0 && List.for_all2 Vec.equal a b
 
-let hull_memo : (int * Vec.t list, Vec.t list) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"hull" ~max_size:4096
-    ~hash:(fun (d, vs) -> (verts_hash vs * 31 + d) land max_int)
-    ~equal:(fun (d1, a) (d2, b) -> d1 = d2 && verts_equal a b)
-    ()
-
 let mink_memo : (Vec.t list * Vec.t list, Vec.t list) Parallel.Memo.t =
   Parallel.Memo.create ~name:"minkowski" ~max_size:4096
     ~hash:(fun (a, b) -> (verts_hash a * 1000003 + verts_hash b) land max_int)
     ~equal:(fun (a1, b1) (a2, b2) -> verts_equal a1 a2 && verts_equal b1 b2)
-    ()
-
-let intersect_memo : (int * Vec.t list list, Vec.t list option) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"intersect" ~max_size:4096
-    ~hash:(fun (d, vss) ->
-        List.fold_left
-          (fun acc vs -> ((acc * 1000003) + verts_hash vs) land max_int)
-          d vss)
-    ~equal:(fun (d1, a) (d2, b) ->
-        d1 = d2 && List.compare_lengths a b = 0 && List.for_all2 verts_equal a b)
     ()
 
 let of_points ~dim pts =
@@ -67,16 +51,11 @@ let of_points ~dim pts =
             invalid_arg "Polytope.of_points: inconsistent dimensions")
         pts;
       if dim <= 2 then { dim; verts = canonicalize ~dim pts }
-      else begin
-        let canon = Hullnd.dedupe_points pts in
-        let verts =
-          Parallel.Memo.find_or_add hull_memo (dim, canon)
-            (fun () ->
-               Obs.Prof.with_span "geometry.hull" (fun () ->
-                   canonicalize ~dim canon))
-        in
-        { dim; verts }
-      end
+      else
+        { dim;
+          verts =
+            Obs.Prof.with_span "geometry.hull" (fun () ->
+                canonicalize ~dim pts) }
     end
 
 let singleton p = { dim = Vec.dim p; verts = [p] }
@@ -298,50 +277,43 @@ let intersect polys =
         | [] -> None
         | verts -> Some { dim = 2; verts })
      | _ ->
-       let key = (d, List.map (fun p -> p.verts) polys) in
-       let verts =
-         Parallel.Memo.find_or_add intersect_memo key
-           (fun () ->
-              Obs.Prof.with_span "geometry.intersect" (fun () ->
-                  (* The H-representation constructions all run on the
-                     input vertices, so they share a grid; the final
-                     extreme-points pass sees solver-produced
-                     denominators and transparently falls back to a
-                     local grid. *)
-                  Numeric.Grid.ensure_round
-                    (fun () ->
-                       Numeric.Grid.make
-                         (List.concat_map (fun p -> p.verts) polys))
-                  @@ fun () ->
-                  let hreps =
-                    Obs.Prof.with_span "isect.hreps" (fun () ->
-                    List.map (fun p -> Hullnd.of_points ~dim:d p.verts) polys)
-                  in
-                  let combined = Hullnd.combine hreps in
-                  (* Certified fast path: pair-line clipping over the
-                     constraint system, seeded from the previous
-                     round's intersection. Completeness is certified
-                     exactly (see Poly_engine), so a [Some] here equals
-                     the brute enumeration value-for-value; [None]
-                     (mode, degeneracy, certificate failure) falls
-                     through to the exact path. *)
-                  let fast =
-                    if d = 3 && combined.Hullnd.eqs = [] then
-                      Poly_engine.vertices_3d ~ineqs:combined.Hullnd.ineqs ()
-                    else None
-                  in
-                  match fast with
-                  | Some vs -> Some vs
-                  | None ->
-                    match Obs.Prof.with_span "isect.vertices" (fun () ->
-                        Hullnd.vertices combined) with
-                    | [] -> None
-                    | vs -> Some (Obs.Prof.with_span "isect.extreme" (fun () ->
-                        Hullnd.extreme_points vs))))
+       Obs.Prof.with_span "geometry.intersect" @@ fun () ->
+       (* The H-representation constructions all run on the input
+          vertices, so they share a grid; the final extreme-points
+          pass sees solver-produced denominators and transparently
+          falls back to a local grid. *)
+       Numeric.Grid.ensure_round
+         (fun () ->
+            Numeric.Grid.make (List.concat_map (fun p -> p.verts) polys))
+       @@ fun () ->
+       let hreps =
+         Obs.Prof.with_span "isect.hreps" (fun () ->
+             List.map (fun p -> Hullnd.of_points ~dim:d p.verts) polys)
        in
-       (match verts with
-        | None -> None
-        | Some verts -> Some { dim = d; verts }))
+       let combined = Hullnd.combine hreps in
+       (* Certified fast path: pair-line clipping over the constraint
+          system, seeded from the previous round's intersection.
+          Completeness is certified exactly (see Poly_engine), so a
+          [Some] here equals the brute enumeration value-for-value;
+          [None] (mode, degeneracy, certificate failure) falls through
+          to the exact path. *)
+       let fast =
+         if d = 3 && combined.Hullnd.eqs = [] then
+           Poly_engine.vertices_3d ~ineqs:combined.Hullnd.ineqs
+         else None
+       in
+       match fast with
+       | Some verts -> Some { dim = d; verts }
+       | None ->
+         match Obs.Prof.with_span "isect.vertices" (fun () ->
+             Hullnd.vertices combined) with
+         | [] -> None
+         | vs ->
+           Some
+             { dim = d;
+               verts =
+                 Obs.Prof.with_span "isect.extreme" (fun () ->
+                     Hullnd.extreme_points vs) })
 
 (* ------------------------------------------------------------------ *)
 (* Round 0: the points every (|X|-f)-subset hull contains. *)
@@ -446,7 +418,7 @@ let depth_region ~dim ~f pts =
         | [] -> None
         | verts -> Some { dim; verts })
      | Some ineqs ->
-       (match Poly_engine.vertices_3d ~ineqs () with
+       (match Poly_engine.vertices_3d ~ineqs with
         | Some verts -> Some { dim; verts }
         | None ->
           (match Hullnd.vertices { Hullnd.dim; eqs = []; ineqs } with
@@ -457,37 +429,12 @@ let depth_region ~dim ~f pts =
 (* ------------------------------------------------------------------ *)
 (* Measures. *)
 
-(* Agreement grading asks for the Hausdorff distance between every
-   pair of per-process output polytopes, and ε-agreement makes those
-   pairs repeat verbatim across processes and rounds; keyed on the
-   canonical vertex lists the cache has the same hit profile as the
-   hull/minkowski tables. Gated on the engine mode so CHC_POLY=rebuild
-   measures the uncached evaluation. *)
-let hausdorff_memo : (int * Vec.t list * Vec.t list, Q.t) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"hausdorff" ~max_size:4096
-    ~hash:(fun (d, a, b) ->
-        ((((verts_hash a * 1000003) + verts_hash b) * 31) + d) land max_int)
-    ~equal:(fun (d1, a1, b1) (d2, a2, b2) ->
-        d1 = d2 && verts_equal a1 a2 && verts_equal b1 b2)
-    ()
-
 let hausdorff2 p q =
   if p.dim <> q.dim then invalid_arg "Polytope.hausdorff2: dimension mismatch"
   else if equal p q then Q.zero
-  else begin
-    let eval () = Distance.hausdorff2 ~dim:p.dim p.verts q.verts in
-    if p.dim >= 3 && Poly_engine.incremental () then
-      (* The distance is symmetric; canonicalizing the key order makes
-         (p,q) and (q,p) share one entry. *)
-      let key =
-        if List.compare Vec.compare p.verts q.verts <= 0 then
-          (p.dim, p.verts, q.verts)
-        else (p.dim, q.verts, p.verts)
-      in
-      Parallel.Memo.find_or_add hausdorff_memo key (fun () ->
-          Obs.Prof.with_span "poly.hausdorff" eval)
-    else eval ()
-  end
+  else
+    Obs.Prof.with_span "geometry.hausdorff" (fun () ->
+        Distance.hausdorff2 ~dim:p.dim p.verts q.verts)
 
 let hausdorff p q = sqrt (Q.to_float (hausdorff2 p q))
 
@@ -520,20 +467,14 @@ let translate v p =
   { dim = p.dim; verts = canonicalize ~dim:p.dim (List.map (Vec.add v) p.verts) }
 
 let support p dir =
-  let eval () =
-    match p.verts with
-    | [] -> assert false
-    | v0 :: rest ->
-      List.fold_left
-        (fun (best, arg) v ->
-           let s = Vec.dot dir v in
-           if Filter.compare s best > 0 then (s, v) else (best, arg))
-        (Vec.dot dir v0, v0) rest
-  in
-  (* Grading re-asks for supports of the same polytope in the same
-     facet-normal directions round over round; the engine caches the
-     exact evaluation keyed by (canonical vertex list, direction). *)
-  if p.dim >= 3 then Poly_engine.support p.verts dir ~eval else eval ()
+  match p.verts with
+  | [] -> assert false
+  | v0 :: rest ->
+    List.fold_left
+      (fun (best, arg) v ->
+         let s = Vec.dot dir v in
+         if Filter.compare s best > 0 then (s, v) else (best, arg))
+      (Vec.dot dir v0, v0) rest
 
 let bounding_box p =
   Array.init p.dim (fun j ->

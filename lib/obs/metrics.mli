@@ -12,7 +12,7 @@
     Naming scheme (Prometheus conventions): all metrics are prefixed
     [chc_]; monotone counts end in [_total]; histograms carry a unit
     suffix ([_seconds], [_bytes]); subsystem labels distinguish
-    instances, e.g. [chc_memo_hits_total{table="hull"}].
+    instances, e.g. [chc_memo_hits_total{table="minkowski"}].
 
     All instruments are thread-/domain-safe (one mutex per instrument;
     registry under its own mutex). Snapshots are consistent per

@@ -104,39 +104,57 @@ let create ?name ?(max_size = 4096) ~hash ~equal () =
   Option.iter (fun n -> register_named n t) name;
   t
 
-let find_or_add_core t k f =
-  if not (enabled ()) then f ()
-  else begin
-    let h = (t.hash k) land max_int in
-    let idx = h land (nbuckets - 1) in
-    Mutex.lock t.m;
-    let rec lookup = function
-      | [] -> None
-      | (h', k', v) :: rest ->
-        if h' = h && t.equal k' k then Some v else lookup rest
-    in
-    match lookup t.buckets.(idx) with
-    | Some v ->
-      t.hits <- t.hits + 1;
-      Mutex.unlock t.m;
-      v
-    | None ->
-      t.misses <- t.misses + 1;
-      Mutex.unlock t.m;
-      let v = f () in
-      Mutex.lock t.m;
-      if t.count >= t.max_size then flush_locked t;
-      t.buckets.(idx) <- (h, k, v) :: t.buckets.(idx);
-      t.count <- t.count + 1;
-      Mutex.unlock t.m;
-      v
-  end
+(* The chain walk, under the lock: the cached value for [k] (hash [h]),
+   counted as a hit or a miss. *)
+let lookup t h k =
+  let rec walk = function
+    | [] -> None
+    | (h', k', v) :: rest -> if h' = h && t.equal k' k then Some v else walk rest
+  in
+  Mutex.lock t.m;
+  let r = walk t.buckets.(h land (nbuckets - 1)) in
+  (match r with
+   | Some _ -> t.hits <- t.hits + 1
+   | None -> t.misses <- t.misses + 1);
+  Mutex.unlock t.m;
+  r
+
+let insert t h k v =
+  let idx = h land (nbuckets - 1) in
+  Mutex.lock t.m;
+  if t.count >= t.max_size then flush_locked t;
+  t.buckets.(idx) <- (h, k, v) :: t.buckets.(idx);
+  t.count <- t.count + 1;
+  Mutex.unlock t.m
 
 let find_or_add t k f =
-  if Obs.Prof.enabled () then
-    Obs.Prof.with_span ~attrs:t.span_attrs "memo.lookup" (fun () ->
-        find_or_add_core t k f)
-  else find_or_add_core t k f
+  if not (enabled ()) then f ()
+  else if not (Obs.Prof.enabled ()) then begin
+    let h = t.hash k land max_int in
+    match lookup t h k with
+    | Some v -> v
+    | None ->
+      let v = f () in
+      insert t h k v;
+      v
+  end
+  else begin
+    (* "memo.lookup" times the table's own work: a miss runs [f]
+       between the lookup span and the insert span, so the memoized
+       computation is billed to its own spans, not to the cache. *)
+    let span g = Obs.Prof.with_span ~attrs:t.span_attrs "memo.lookup" g in
+    let h, found =
+      span (fun () ->
+          let h = t.hash k land max_int in
+          (h, lookup t h k))
+    in
+    match found with
+    | Some v -> v
+    | None ->
+      let v = f () in
+      span (fun () -> insert t h k v);
+      v
+  end
 
 (* Publish every named table's lifetime counters as registry metrics;
    [Obs.Report] reads these instead of linking against this module. *)

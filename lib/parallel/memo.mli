@@ -1,18 +1,23 @@
 (** Bounded, domain-safe memo tables for pure functions.
 
-    The geometry kernel recomputes identical hulls and LP membership
-    certificates many times: once ε-agreement kicks in, the [h_i[t]]
-    polytopes coincide across processes, so every process runs the
-    same exact-arithmetic reduction. A memo table keyed on the
-    canonical inputs shortcuts the repeats.
+    Two tables use this module, both on the d >= 3 geometry path:
+    [poly-arena] holds [Geometry.Poly_engine]'s hull duals and
+    [minkowski] the vertex-sum hulls of the L operator. Rounds whose
+    inputs agree and processes with equal round-0 views skip the
+    geometry before any table is asked, so what reaches a table is
+    the repeat that remains: a d=3 point set hulled again within one
+    execution, and the Minkowski pairs an adversarial (lag) scheduler
+    hands several processes in the same round. DESIGN.md
+    §2 ("two caches, one engine path") records the hit counts that
+    keep these two and retired the rest.
 
     Caching is invisible to results: tables only ever return a value
     produced by the memoized function on a structurally equal key, so
     executions stay pure functions of their inputs. Tables are
     mutex-protected (the parallel kernel calls them from worker
     domains) and bounded — when [max_size] entries accumulate, the
-    table is flushed wholesale (epoch eviction; cheap, and fine for
-    the repeat-heavy workloads here).
+    table is flushed wholesale (epoch eviction: cheap, and repeats
+    come close together, within a round or one grading pass).
 
     [set_enabled false] bypasses every table; the bench harness uses
     it to measure algorithmic speedups separately from cache hits. *)
@@ -39,7 +44,9 @@ val find_or_add : ('a, 'b) t -> 'a -> (unit -> 'b) -> 'b
 (** [find_or_add t k f] returns the cached value for [k], or runs [f]
     (outside the table lock) and caches its result. Under a race two
     domains may both run [f]; both results are structurally equal, and
-    one wins the slot. *)
+    one wins the slot. With {!Obs.Prof} on, the lookup and the insert
+    each record a ["memo.lookup"] span; [f] runs between them, so its
+    time is not billed to the cache. *)
 
 val clear : ('a, 'b) t -> unit
 (** Discard every resident entry (they count as evictions). Lifetime

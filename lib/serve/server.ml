@@ -65,12 +65,6 @@ let wal_errors_total =
   Obs.Metrics.counter "chc_serve_wal_errors_total"
     ~help:"WAL append/sync failures; the process degrades to non-durable."
 
-let engine_reuse_total =
-  Obs.Metrics.counter "chc_serve_engine_reuse_total"
-    ~help:"Polytope-engine structure reuse on shard handles: arena hits \
-           plus warm-started hull builds, across rounds and across \
-           same-spec instances of one shard."
-
 (* --- jobs -------------------------------------------------------------- *)
 
 let job_of_request (Frame.Submit { id; n; f; d; eps; lo; hi; inputs }) =
@@ -166,11 +160,6 @@ type shard = {
   mutable incoming : running list; (** newest first; merged at pump *)
   mutable starved : int;  (* fuel debt: live jobs that ate a full budget
                              last pump and still did not finish *)
-  engine : Geometry.Poly_engine.handle;
-      (* shared by every instance on this shard, so same-spec instances
-         can reuse hull structure across jobs *)
-  mutable reuse_mark : int;  (* handle_reuse at the last pump, for the
-                                per-pump counter delta *)
 }
 
 (* WAL telemetry shared with worker domains (appends run inside
@@ -235,9 +224,7 @@ let create ?shards ?(fuel = 64) ?(slow_s = 1.0) ?(causal_k = 0) ?wal_dir ()
     wal_dir;
     shards_arr =
       Array.init shard_count (fun _ ->
-          { live = []; incoming = []; starved = 0;
-            engine = Geometry.Poly_engine.create_handle ();
-            reuse_mark = 0 });
+          { live = []; incoming = []; starved = 0 });
     live_ids = Hashtbl.create 256;
     created_ns = Obs.Prof.now_ns ();
     ws =
@@ -296,8 +283,7 @@ let submit t ?resume job =
   let shard = t.shards_arr.(shard_ix) in
   let insts =
     Array.init n (fun i ->
-        Instance.create ~engine:shard.engine spec ~me:i
-          ~input:job.inputs.(i))
+        Instance.create spec ~me:i ~input:job.inputs.(i))
   in
   let inst_dir, wal =
     match t.wal_dir with
@@ -579,16 +565,6 @@ let pump t =
     |> List.concat
   in
   List.iter (note_slowest t) completed;
-  (* Engine reuse accrues on worker domains during pump_shard; fold
-     the per-shard handle deltas into the counter after the join. *)
-  Array.iter
-    (fun s ->
-       let r = Geometry.Poly_engine.handle_reuse s.engine in
-       if r > s.reuse_mark then begin
-         Obs.Metrics.add engine_reuse_total (r - s.reuse_mark);
-         s.reuse_mark <- r
-       end)
-    t.shards_arr;
   let outcomes = List.map fst completed in
   List.iter (fun o -> Hashtbl.remove t.live_ids o.job.id) outcomes;
   t.decided_count <- t.decided_count + List.length outcomes;
@@ -670,12 +646,9 @@ let statusz t () =
     Array.to_list t.shards_arr
     |> List.map (fun s ->
         Obj
-          ([ ("live", Int (List.length s.live));
-             ("queued", Int (List.length s.incoming));
-             ("fuel_starved", Int s.starved) ]
-           @ List.map
-               (fun (k, v) -> ("engine_" ^ k, Int v))
-               (Geometry.Poly_engine.handle_stats s.engine)))
+          [ ("live", Int (List.length s.live));
+            ("queued", Int (List.length s.incoming));
+            ("fuel_starved", Int s.starved) ])
   in
   let wal =
     match t.wal_dir with

@@ -247,6 +247,39 @@ let test_canary_campaign_end_to_end () =
         | Fuzz.Oracle.Pass ->
           Alcotest.fail "reloaded counterexample must reproduce"))
 
+(* The differential campaign over d = 3 alone. The default space draws
+   d from {1, 2}, where no polytope reaches the engine, so there the
+   engine-equivalence leg compares one path with itself. f <= 1 keeps
+   the views small: larger d=3 views can fall into the brute vertex
+   enumeration (ROADMAP item 4). *)
+let test_differential_d3_campaign () =
+  let engine_hulls () =
+    List.fold_left
+      (fun acc s ->
+         match s with
+         | { Obs.Metrics.metric = "chc_poly_hull_total";
+             labels = [ ("path", ("float" | "warm")) ];
+             value = Obs.Metrics.Counter v } -> acc + v
+         | _ -> acc)
+      0 (Obs.Metrics.snapshot_all ())
+  in
+  let before = engine_hulls () in
+  let out_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "chc-fuzz-d3-%d" (Unix.getpid ()))
+  in
+  let outcome =
+    Fuzz.Campaign.run
+      ~space:{ Fuzz.Gen.default_space with d_choices = [ 3 ]; f_max = 1 }
+      ~differential:true ~out_dir ~seed:42
+      { Fuzz.Campaign.trials = 40; time_budget = None }
+  in
+  Alcotest.(check int) "40 trials" 40 outcome.Fuzz.Campaign.trials_run;
+  Alcotest.(check (list string)) "no findings" []
+    (List.map (fun f -> f.Fuzz.Campaign.path) outcome.Fuzz.Campaign.findings);
+  Alcotest.(check bool) "the incremental engine built hulls" true
+    (engine_hulls () > before)
+
 let suite =
   [ ( "fuzz scenario codec",
       [ Alcotest.test_case "exact roundtrip" `Quick test_scenario_roundtrip;
@@ -267,4 +300,7 @@ let suite =
       [ Alcotest.test_case "shrink deterministic" `Quick
           test_shrink_deterministic;
         Alcotest.test_case "campaign end-to-end" `Quick
-          test_canary_campaign_end_to_end ] ) ]
+          test_canary_campaign_end_to_end ] );
+    ( "fuzz differential",
+      [ Alcotest.test_case "d=3 engine equivalence, 40 trials" `Slow
+          test_differential_d3_campaign ] ) ]

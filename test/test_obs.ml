@@ -901,6 +901,35 @@ let test_sink_error_names_path () =
     Alcotest.(check bool) "Write_error carries a diagnostic" true
       (String.length message > 0)
 
+(* A miss runs the memoized function between the lookup's span and the
+   insert's, so "memo.lookup" bills the cache only for its own work. *)
+let test_memo_span_excludes_miss () =
+  let tbl = Memo.create ~hash:Hashtbl.hash ~equal:Int.equal () in
+  with_profiler (fun () ->
+      let v =
+        Memo.find_or_add tbl 1 (fun () ->
+            Obs.Prof.with_span "child" (fun () -> 2))
+      in
+      Alcotest.(check int) "the miss returns f's value" 2 v;
+      let open_spans =
+        List.fold_left
+          (fun stack (e : Obs.Prof.event) ->
+             match e.Obs.Prof.phase with
+             | `B ->
+               if e.Obs.Prof.name = "child" && List.mem "memo.lookup" stack
+               then Alcotest.fail "\"child\" began inside \"memo.lookup\"";
+               e.Obs.Prof.name :: stack
+             | `E -> List.tl stack
+             | `X _ -> stack)
+          [] (Obs.Prof.events ())
+      in
+      Alcotest.(check (list string)) "every span closed" [] open_spans;
+      let summary = Obs.Prof.summary () in
+      Alcotest.(check bool) "the lookup was timed" true
+        (List.mem_assoc "memo.lookup" summary);
+      Alcotest.(check bool) "f ran under the profiler" true
+        (List.mem_assoc "child" summary))
+
 let suite =
   [ ( "obs",
       [ Alcotest.test_case "trace pool-size invariant (d=2)" `Quick
@@ -940,4 +969,6 @@ let suite =
           test_critical_path_pool_invariant;
         Alcotest.test_case "sink roundtrip" `Quick test_sink_roundtrip;
         Alcotest.test_case "sink error names path" `Quick
-          test_sink_error_names_path ] ) ]
+          test_sink_error_names_path;
+        Alcotest.test_case "memo.lookup excludes a miss's work" `Quick
+          test_memo_span_excludes_miss ] ) ]

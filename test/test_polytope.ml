@@ -333,6 +333,14 @@ let test_pinned_corpus () =
          (Digest.to_hex (Digest.string (execution_bytes case))))
     pinned_corpus
 
+(* The same digests under the rebuild engine, caches bypassed: the
+   exact construction alone, the engine's test oracle, must reproduce
+   every byte the incremental engine does. *)
+let test_pinned_corpus_rebuild () =
+  Parallel.Memo.with_bypass @@ fun () ->
+  Geometry.Poly_engine.with_mode Geometry.Poly_engine.Rebuild
+    test_pinned_corpus
+
 (* The fuzzer's round-0 leg passes over the same corpus, and its
    verdict kind survives the artifact codec. *)
 let test_round0_equivalence_oracle () =
@@ -550,4 +558,6 @@ let suite =
         Alcotest.test_case "round0-equivalence oracle" `Slow
           test_round0_equivalence_oracle ]
       @ List.map Gen.qtest
-          (props @ merge_props @ depth_region_props @ average_props) ) ]
+          (props @ merge_props @ depth_region_props @ average_props)
+      @ [ Alcotest.test_case "pinned corpus under the rebuild engine" `Slow
+            test_pinned_corpus_rebuild ] ) ]

@@ -409,8 +409,8 @@ let differential () =
 let cli_common_errors () =
   let base =
     { Chc.Cli.n = 5; f = 1; d = 2; eps = "0.1"; lo = "0"; hi = "1"; seed = 1;
-      scheduler = "random"; naive = false; kernel = None; poly = None;
-      inputs = None; faulty = None }
+      scheduler = "random"; naive = false; kernel = None; inputs = None;
+      faulty = None }
   in
   let err c =
     match Chc.Cli.scenario_of_common c with
