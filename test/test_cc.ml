@@ -205,6 +205,70 @@ let prop_schedulers =
        r.Executor.terminated && r.Executor.valid && r.Executor.agreement_ok
        && r.Executor.optimal)
 
+(* Executor.round_metrics' diameter against the full pairwise maximum
+   over the round's witnesses. round_metrics drops equal witnesses
+   before its pairwise loop: the maximum must not move, and a round
+   whose witnesses all agree still reports 0, not "no diameter". *)
+let test_round_diameter () =
+  let config = cfg ~n:5 ~f:1 ~d:2 () in
+  let witnesses = 3 in
+  (* the expected diameter of round [t], and whether two of its
+     witnesses are equal *)
+  let brute (r : Executor.report) t =
+    let polys =
+      List.init config.Config.n Fun.id
+      |> List.filter (fun i -> not (List.mem i r.Executor.faulty))
+      |> List.filter_map (fun i ->
+          List.assoc_opt t r.Executor.result.Cc.history.(i))
+      |> List.filteri (fun idx _ -> idx < witnesses)
+    in
+    match polys with
+    | [] | [ _ ] -> (None, false)
+    | _ ->
+      let d =
+        List.fold_left
+          (fun acc p ->
+             List.fold_left
+               (fun acc q -> Float.max acc (Polytope.hausdorff p q))
+               acc polys)
+          0.0 polys
+      in
+      (Some d, List.length (Polytope.distinct polys) < List.length polys)
+  in
+  (* checks every round and returns how many had equal witnesses *)
+  let check name (r : Executor.report) =
+    let rounds =
+      Executor.round_metrics ~witnesses ~faulty:r.Executor.faulty
+        r.Executor.result
+    in
+    Alcotest.(check bool) (name ^ ": has rounds") true (rounds <> []);
+    List.fold_left
+      (fun dups (m : Obs.Report.round) ->
+         let expect, dup = brute r m.Obs.Report.round in
+         Alcotest.(check (option (float 0.0)))
+           (Printf.sprintf "%s: round %d" name m.Obs.Report.round)
+           expect m.Obs.Report.diameter;
+         if dup then dups + 1 else dups)
+      0 rounds
+  in
+  let random = Executor.run (Executor.default_spec ~config ~seed:11 ()) in
+  Alcotest.(check bool) "random inputs: some round has equal witnesses"
+    true (check "random inputs" random > 0);
+  let x = Vec.make [Q.half; Q.of_ints 1 3] in
+  let same =
+    Executor.run
+      { (Executor.default_spec ~config ~seed:14 ()) with
+        Executor.inputs = Array.make 5 x }
+  in
+  ignore (check "identical inputs" same : int);
+  List.iter
+    (fun (m : Obs.Report.round) ->
+       Alcotest.(check (option (float 0.0)))
+         (Printf.sprintf "identical inputs: round %d is 0" m.Obs.Report.round)
+         (Some 0.0) m.Obs.Report.diameter)
+    (Executor.round_metrics ~witnesses ~faulty:same.Executor.faulty
+       same.Executor.result)
+
 let suite =
   [ ( "algorithm_cc",
       [ Alcotest.test_case "basic 2d" `Quick test_basic_2d;
@@ -220,4 +284,6 @@ let suite =
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "positive-volume outputs" `Quick
           test_output_contains_iz_strictly_useful ]
-      @ List.map Gen.qtest [ prop_sweep_2d; prop_sweep_1d; prop_schedulers ] ) ]
+      @ List.map Gen.qtest [ prop_sweep_2d; prop_sweep_1d; prop_schedulers ]
+      @ [ Alcotest.test_case "round diameter = max over witness pairs" `Quick
+            test_round_diameter ] ) ]

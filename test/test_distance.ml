@@ -83,6 +83,23 @@ let prop_hausdorff_translation =
        let tr = List.map (Vec.add t) in
        Q.equal (D.hausdorff2 ~dim:2 p q) (D.hausdorff2 ~dim:2 (tr p) (tr q)))
 
+(* At d >= 3 the Hausdorff distance extracts each target's extreme
+   points once and projects onto them directly. It must equal the
+   maximum of the public point-hull distances, which extract them on
+   every call. *)
+let prop_hausdorff_3d_per_vertex =
+  Gen.prop ~count:30 "3d hausdorff = per-vertex point-hull distances"
+    (QCheck.pair (Gen.arb_int_points ~min_size:1 ~max_size:6 3)
+       (Gen.arb_int_points ~min_size:1 ~max_size:6 3))
+    (fun (p, q) ->
+       let directed from_pts to_pts =
+         List.fold_left
+           (fun acc v -> Q.max acc (D.dist2_point_hull ~dim:3 v to_pts))
+           Q.zero from_pts
+       in
+       Q.equal (D.hausdorff2 ~dim:3 p q)
+         (Q.max (directed p q) (directed q p)))
+
 let suite =
   [ ( "distance",
       [ Alcotest.test_case "point-segment" `Quick test_point_segment;
@@ -93,4 +110,5 @@ let suite =
       @ List.map Gen.qtest
           [ prop_embedding_invariance;
             prop_hausdorff_vs_vertex_distances;
-            prop_hausdorff_translation ] ) ]
+            prop_hausdorff_translation;
+            prop_hausdorff_3d_per_vertex ] ) ]
