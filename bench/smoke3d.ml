@@ -91,10 +91,13 @@ let run () =
       r.Executor.optimal, r.Executor.decision_stable,
       r.Executor.result.Chc.Cc.t_end )
   in
+  (* The volumes too: the incremental engine reads them off the soup
+     its decision carries, the rebuild engine off facet fans. *)
+  let same_q field = Option.equal Q.equal (field reb) (field inc) in
   if verdict reb <> verdict inc
-     || not
-          (Option.equal Q.equal reb.Executor.agreement2
-             inc.Executor.agreement2)
+     || not (same_q (fun r -> r.Executor.agreement2))
+     || not (same_q (fun r -> r.Executor.min_output_volume))
+     || not (same_q (fun r -> r.Executor.iz_volume))
   then failwith "smoke3d: engine divergence — executor reports differ";
   Array.iteri
     (fun i o ->

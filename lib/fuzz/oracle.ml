@@ -136,8 +136,11 @@ let grade oracle (report : Chc.Executor.report) =
                 (Q.to_string eps)))
 
 (* Shared comparison for the differential oracles: two runs of the
-   same scenario diverge iff the termination round or any per-process
-   decided polytope differs. *)
+   same scenario diverge iff the termination round, any per-process
+   decided polytope, or one of the graded volumes differs. Equal
+   decisions can still be measured apart: the incremental engine reads
+   a carried dual's volume off its soup, the rebuild engine off facet
+   fans. *)
 let decision_divergence ~tag ~base_name ~other_name
     (base : Chc.Executor.report) (other : Chc.Executor.report) =
   let bo = base.Chc.Executor.result.Chc.Cc.outputs in
@@ -158,12 +161,25 @@ let decision_divergence ~tag ~base_name ~other_name
            | Some p, Some q when Geometry.Polytope.equal p q -> ()
            | _ -> diverging := Some i)
       bo;
+    let volume what (field : Chc.Executor.report -> Q.t option) =
+      let show = Option.fold ~none:"none" ~some:Q.to_string in
+      if Option.equal Q.equal (field base) (field other) then None
+      else
+        Some
+          (Printf.sprintf "%s: %s %s under %s vs %s under %s" tag what
+             (show (field base)) base_name (show (field other)) other_name)
+    in
     match !diverging with
-    | None -> None
     | Some i ->
       Some
         (Printf.sprintf "%s: process %d decided differently under %s vs %s"
            tag i base_name other_name)
+    | None ->
+      (match
+         volume "min output volume" (fun r -> r.Chc.Executor.min_output_volume)
+       with
+       | Some _ as d -> d
+       | None -> volume "I_Z volume" (fun r -> r.Chc.Executor.iz_volume))
   end
 
 (* Differential grading: the same scenario executed under both

@@ -29,14 +29,17 @@ type t =
           the exact one: the scenario is executed under both
           ({!Numeric.Kernel.mode}), with memo tables bypassed so the
           runs are independent, and any difference in the decided
-          polytopes or the termination round is a failure *)
+          polytopes, the termination round or the graded volumes
+          ([min_output_volume], [iz_volume]) is a failure *)
   | Engine_equivalence
       (** differential check of the incremental polytope engine against
           the from-scratch rebuild engine
           ({!Geometry.Poly_engine.mode}): the scenario is executed
           under both, the incremental leg under a fresh engine handle
           and with memo tables bypassed, and any difference in the
-          decided polytopes or the termination round is a failure *)
+          decided polytopes, the termination round or the graded
+          volumes is a failure: the incremental leg reads a carried
+          dual's volume off its soup, the rebuild leg off facet fans *)
   | Round0_equivalence
       (** differential check of round 0: every graded process's
           recorded [h\[0\]] (built by

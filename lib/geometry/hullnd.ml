@@ -643,25 +643,38 @@ let is_vertex_by_facets ~dim facets p =
   in
   List.length tight >= dim && Linsys.rank (Array.of_list tight) = dim
 
-let extreme_points pts =
+(* The dual goes back to the caller only from the incremental engine:
+   under [with_mode Rebuild] the oracle keeps every consumer on its
+   own exact path. *)
+let extreme_points_dual pts =
   let pts = Obs.Prof.with_span "hullnd.dedupe" (fun () -> dedupe_points pts) in
   match pts with
-  | [] | [_] -> pts
+  | [] | [_] -> (pts, None)
   | p0 :: _ ->
     if Vec.dim p0 = 3 then
       match dual_3d pts with
-      | None -> extreme_points_lp pts
+      | None -> (extreme_points_lp pts, None)
       | Some d ->
         (* Tight tests run against the integer-scaled copies; scaling
            preserves the point order, so the i-th scaled point answers
            for the i-th original. The facets arrive already collapsed
            to primitive representatives. *)
-        Obs.Prof.with_span "hullnd.tight_scan" (fun () ->
-        List.combine d.Poly_engine.pts d.Poly_engine.spts
-        |> List.filter (fun (_, sp) ->
-            is_vertex_by_facets ~dim:3 d.Poly_engine.facets sp)
-        |> List.map fst)
-    else extreme_points_lp pts
+        let verts =
+          Obs.Prof.with_span "hullnd.tight_scan" (fun () ->
+              List.combine d.Poly_engine.pts d.Poly_engine.spts
+              |> List.filter (fun (_, sp) ->
+                  is_vertex_by_facets ~dim:3 d.Poly_engine.facets sp)
+              |> List.map fst)
+        in
+        let carried =
+          match Poly_engine.mode () with
+          | Poly_engine.Incremental -> Some d
+          | Poly_engine.Rebuild -> None
+        in
+        (verts, carried)
+    else (extreme_points_lp pts, None)
+
+let extreme_points pts = fst (extreme_points_dual pts)
 
 (* Testing hook for the static visibility screen: [Some v] when the
    screen decides (v = "a·p - b > 0"), [None] when it falls through to

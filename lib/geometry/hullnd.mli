@@ -10,7 +10,14 @@
 
     Lower-dimensional polytopes (points, segments, flat polygons
     embedded in d-space) are fully supported: the H-representation
-    carries the affine-hull equalities alongside facet inequalities. *)
+    carries the affine-hull equalities alongside facet inequalities.
+
+    Full-dimensional 3-d hulls are the exception: they go through
+    {!Poly_engine}'s certified dual ({!dual_3d}), with this module's
+    exact beneath–beyond as its fallback and oracle.
+    {!extreme_points_dual} hands that dual back with the vertices, so
+    a d=3 {!Polytope} keeps it and never asks for the same hull
+    again. *)
 
 module Q = Numeric.Q
 
@@ -39,6 +46,13 @@ val extreme_points : Vec.t list -> Vec.t list
     sorted lexicographically. Full-dimensional 3-d inputs go through
     the incremental hull plus a tight-constraint rank test; everything
     else falls back to {!extreme_points_lp}. *)
+
+val extreme_points_dual : Vec.t list -> Vec.t list * Poly_engine.dual option
+(** {!extreme_points} together with the dual it looked up or built:
+    [Some] for full-dimensional 3-d inputs under the incremental
+    engine, over the deduped input points, so a caller can keep it
+    with the vertices; [None] otherwise, including every call under
+    [Poly_engine.with_mode Rebuild]. *)
 
 val mem_hrep : hrep -> Vec.t -> bool
 (** Exact membership test against an H-representation. *)

@@ -260,6 +260,7 @@ type ftri = {
 type soup = {
   tris : (int * int * int) array;
   planes : (Vec.t * Q.t) list;
+  on_plane : int array;  (* tris.(k) lies on List.nth planes on_plane.(k) *)
 }
 
 exception Abort
@@ -372,6 +373,32 @@ let mk_tri_oriented ~c4 (pts : Vec.t array) (fp : float array array) ~fc i0 i1 i
 
 let tri_dir_edges t = [ (t.i0, t.i1); (t.i1, t.i2); (t.i2, t.i0) ]
 
+(* Whether directed edges form one simple closed cycle: out-degree
+   and in-degree exactly 1 at every node they touch, and one walk
+   covering every edge. *)
+let simple_cycle = function
+  | [] -> false
+  | (start, _) :: _ as edges ->
+    let succ = Hashtbl.create 16 and indeg = Hashtbl.create 16 in
+    let degrees_ok =
+      List.for_all
+        (fun (u, v) ->
+           if Hashtbl.mem succ u || Hashtbl.mem indeg v then false
+           else begin
+             Hashtbl.add succ u v;
+             Hashtbl.add indeg v ();
+             true
+           end)
+        edges
+    in
+    let rec walk x steps =
+      match Hashtbl.find_opt succ x with
+      | None -> false
+      | Some y ->
+        if y = start then steps + 1 = List.length edges else walk y (steps + 1)
+    in
+    degrees_ok && walk start 0
+
 (* Horizon of the visible set, as directed edges: in a consistently
    oriented soup every undirected edge appears once in each direction,
    so a directed edge of a visible triangle whose reverse is not in
@@ -396,26 +423,7 @@ let horizon_cycle visible =
          if Hashtbl.mem edges (v, u) then acc else (u, v) :: acc)
       edges []
   in
-  (match horizon with [] -> raise Abort | _ -> ());
-  (* Simple closed cycle: out-degree and in-degree exactly 1
-     everywhere, and one connected walk covering every edge. *)
-  let succ = Hashtbl.create 16 and indeg = Hashtbl.create 16 in
-  List.iter
-    (fun (u, v) ->
-       if Hashtbl.mem succ u then raise Abort;
-       Hashtbl.add succ u v;
-       if Hashtbl.mem indeg v then raise Abort;
-       Hashtbl.add indeg v ())
-    horizon;
-  let n = List.length horizon in
-  let start = fst (List.hd horizon) in
-  let rec walk x steps =
-    match Hashtbl.find_opt succ x with
-    | None -> raise Abort
-    | Some y -> if y = start then steps + 1 else walk y (steps + 1)
-  in
-  if walk start 0 <> n then raise Abort;
-  horizon
+  if simple_cycle horizon then horizon else raise Abort
 
 (* One beneath-beyond insertion. *)
 let insert ~c4 (pts : Vec.t array) (fp : float array array) tris j =
@@ -431,6 +439,28 @@ let insert ~c4 (pts : Vec.t array) (fp : float array array) tris j =
     List.rev_append cone hidden
   end
 
+(* The sorted distinct primitive planes of a triangle list, with the
+   index each triangle's plane took among them. *)
+let index_planes planes =
+  let tagged =
+    List.sort (fun (p, _) (q, _) -> compare_constraint p q)
+      (List.mapi (fun k pl -> (primitive_plane pl, k)) planes)
+  in
+  let on_plane = Array.make (List.length planes) 0 in
+  let distinct, _ =
+    List.fold_left
+      (fun (acc, ix) (pl, k) ->
+         match acc with
+         | prev :: _ when compare_constraint prev pl = 0 ->
+           on_plane.(k) <- ix - 1;
+           (acc, ix)
+         | _ ->
+           on_plane.(k) <- ix;
+           (pl :: acc, ix + 1))
+      ([], 0) tagged
+  in
+  (List.rev distinct, on_plane)
+
 (* Exact certification of a finished soup; [None] = rejected.
    (1) every triangle's exact plane exists in its stored orientation
    (so each triangle is non-degenerate, lies in a supporting-plane
@@ -440,7 +470,9 @@ let insert ~c4 (pts : Vec.t array) (fp : float array array) tris j =
    surface mapping onto the hull boundary with positive degree, which
    makes the plane set complete;
    (3) every input point is weakly inside every deduped plane, which
-   makes every plane a genuine supporting (hence facet) plane. *)
+   makes every plane a genuine supporting (hence facet) plane.
+   The certified soup records which deduped plane each triangle lies
+   on, for {!covering}. *)
 let certify ~c4 (pts : Vec.t array) tris =
   Obs.Prof.with_span "poly.certify" @@ fun () ->
   match
@@ -457,9 +489,9 @@ let certify ~c4 (pts : Vec.t array) tris =
     Hashtbl.iter
       (fun (u, v) () -> if not (Hashtbl.mem edges (v, u)) then raise Abort)
       edges;
-    dedupe_constraints (List.map primitive_plane planes)
+    index_planes planes
   with
-  | planes ->
+  | planes, on_plane ->
     if
       Array.for_all
         (fun p ->
@@ -467,9 +499,42 @@ let certify ~c4 (pts : Vec.t array) tris =
              (fun (a, b) -> Filter.sign_of_dot_minus a p b <= 0)
              planes)
         pts
-    then Some planes
+    then
+      Some
+        { tris = Array.of_list (List.map (fun t -> (t.i0, t.i1, t.i2)) tris);
+          planes;
+          on_plane }
     else None
   | exception Abort -> None
+
+(* A certified soup is a closed surface of outward-facing triangles
+   on supporting planes, so it covers the hull boundary a whole number
+   k >= 1 of times, and its signed-volume sum is k times the volume.
+   Within one facet, an edge its triangles do not pair lies on the
+   facet's boundary, and every corner of the facet is left by k such
+   edges: k = 1 exactly when the unpaired directed edges of the
+   triangles on one facet plane form one simple cycle. *)
+let covering soup =
+  let n = Array.length soup.tris in
+  if n = 0 then None
+  else begin
+    let facet = soup.on_plane.(0) in
+    let edges = Hashtbl.create 16 in
+    Array.iteri
+      (fun k (a, b, c) ->
+         if soup.on_plane.(k) = facet then
+           List.iter
+             (fun e -> Hashtbl.replace edges e ())
+             [ (a, b); (b, c); (c, a) ])
+      soup.tris;
+    let unpaired =
+      Hashtbl.fold
+        (fun (u, v) () acc ->
+           if Hashtbl.mem edges (v, u) then acc else (u, v) :: acc)
+        edges []
+    in
+    if simple_cycle unpaired then Some soup.tris else None
+  end
 
 
 (* Binary search for [v] in a sorted point array. *)
@@ -621,12 +686,7 @@ let hull_3d ?warm (pts : Vec.t array) =
          done;
          match certify ~c4 pts !tris with
          | None -> Obs.Metrics.incr fallback_hull_c; None
-         | Some planes ->
-           Some
-             { tris =
-                 Array.of_list
-                   (List.map (fun t -> (t.i0, t.i1, t.i2)) !tris);
-               planes }
+         | Some _ as soup -> soup
        with Abort -> Obs.Metrics.incr fallback_hull_c; None
           | Exit -> None)
 
@@ -634,7 +694,7 @@ let hull_3d ?warm (pts : Vec.t array) =
 (* The persistent dual representation and its arena. *)
 
 type dual = {
-  pts : Vec.t list;             (* canonical (deduped sorted) vertices *)
+  pts : Vec.t list;             (* deduped sorted points it was built over *)
   spts : Vec.t list;            (* grid-scaled integer copies, same order *)
   facets : (Vec.t * Q.t) list;  (* primitive facet planes for [spts] *)
   scale : B.t;                  (* the grid scale: spts = scale · pts *)
@@ -804,12 +864,14 @@ let fsolve3 r0 r1 r2 b0 b1 b2 =
 let isect_max_constraints = 160
 
 (* [vertices_3d ~ineqs]: the exact vertex set of
-   P = {x : a·x <= b for all (a,b) in ineqs}, certified complete, or
-   [None] (empty / lower-dimensional / too many constraints /
-   certificate failure — callers run the exact enumeration). The
-   current handle's last result seeds candidate vertices; seeds are
-   only ever admitted through the exact membership test, so they
-   cannot perturb the result. *)
+   P = {x : a·x <= b for all (a,b) in ineqs}, certified complete,
+   with the dual certified on the way (over every candidate point, so
+   the soup may have non-vertex corners), or [None] (empty /
+   lower-dimensional / too many constraints / certificate failure —
+   callers run the exact enumeration). The current handle's last
+   result seeds candidate vertices; seeds are only ever admitted
+   through the exact membership test, so they cannot perturb the
+   result. Nothing goes into the arena. *)
 let vertices_3d ~ineqs =
   if not (incremental ()) then None
   else begin
@@ -964,10 +1026,16 @@ let vertices_3d ~ineqs =
               Obs.Metrics.incr fallback_isect_c; None
             end
             else begin
+              (* A point solved uniquely from three constraints and
+                 inside all of them has three independent tight
+                 constraints, so it is a vertex by construction. Only
+                 seeds take the tight-rank test. *)
+              let solved = Array.of_list (dedupe_points w0) in
               let verts =
                 List.combine w sw
-                |> List.filter (fun (_, s) ->
-                    is_vertex_by_facets soup.planes s)
+                |> List.filter (fun (p, s) ->
+                    find_point solved p <> None
+                    || is_vertex_by_facets soup.planes s)
                 |> List.map fst
               in
               if List.length verts < 4 then begin
@@ -976,7 +1044,10 @@ let vertices_3d ~ineqs =
               else begin
                 Obs.Metrics.incr isect_fast_c;
                 h.last_isect <- Some verts;
-                Some verts
+                Some
+                  ( verts,
+                    { pts = w; spts = sw; facets = soup.planes; scale;
+                      shape = Some soup } )
               end
             end
         end
@@ -988,9 +1059,9 @@ let vertices_3d ~ineqs =
 (* Test hooks. *)
 
 module Dev = struct
-  let certify (pts : Vec.t array) (tris : (int * int * int) array) =
+  let dual_of_soup (pts : Vec.t array) (tris : (int * int * int) array) =
     match Array.to_list pts with
-    | p :: q :: r :: s :: _ ->
+    | p :: q :: r :: s :: _ as spts ->
       let c4 = Vec.add (Vec.add p q) (Vec.add r s) in
       let fts =
         Array.to_list
@@ -1000,8 +1071,14 @@ module Dev = struct
                   terr = Float.infinity; xp = None })
              tris)
       in
-      (try certify ~c4 pts fts with Abort -> None)
+      Option.map
+        (fun soup ->
+           { pts = spts; spts; facets = soup.planes; scale = B.one;
+             shape = Some soup })
+        (certify ~c4 pts fts)
     | _ -> None
+
+  let certify pts tris = Option.map (fun d -> d.facets) (dual_of_soup pts tris)
 
   let hull_3d = hull_3d
   let float_seed_exists pts =

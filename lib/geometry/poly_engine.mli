@@ -26,6 +26,15 @@
     identical} — the basis for the byte-identical-trace acceptance
     gate and the [Engine_equivalence] differential-fuzz oracle.
 
+    A certified {!dual} is handed back to the caller, not only to the
+    arena: {!vertices_3d} returns the dual it certified, and a d=3
+    [Polytope.t] built by the incremental engine carries the dual it
+    was built with, so its volume and containment tests read the
+    scaled points, facet planes and soup instead of certifying the
+    same hull again. {!covering} is the check that lets a volume be
+    summed over the soup's triangles. Under {!Rebuild} nothing is
+    carried, and every consumer runs its own exact path.
+
     The engine has one production path, {!Incremental}. {!Rebuild},
     the exact construction alone, is kept as the oracle of the
     differential tests, the fuzzer, smoke3d and E17, which select it
@@ -53,10 +62,13 @@ val with_mode : mode -> (unit -> 'a) -> 'a
 
 type soup
 (** A certified oriented facet soup: triangle corner indices into the
-    scaled vertex array plus the deduped primitive facet planes. *)
+    scaled vertex array, the deduped primitive facet planes, and the
+    plane each triangle lies on. *)
 
 type dual = {
-  pts : Vec.t list;      (** canonical (sorted, deduped) vertices *)
+  pts : Vec.t list;
+      (** the sorted, deduped points the hull was built over: every
+          vertex, and possibly points that are not vertices *)
   spts : Vec.t list;     (** [pts] scaled by [scale] to integers *)
   facets : (Vec.t * Q.t) list;
       (** primitive integer planes [a·x <= b] in the scaled frame *)
@@ -74,14 +86,28 @@ val dual_3d : Vec.t list -> rebuild:(unit -> dual option) -> dual option
     the input is lower-dimensional or otherwise out of scope — the
     caller keeps its exact handling. *)
 
-val vertices_3d : ineqs:(Vec.t * Q.t) list -> Vec.t list option
+val covering : soup -> (int * int * int) array option
+(** The soup's triangles, outward-oriented corner indices into the
+    dual's [spts], when they cover the hull boundary exactly once;
+    [None] otherwise. A certified soup covers it a whole number
+    [k >= 1] of times, and [k = 1] exactly when the edges the
+    triangles on one facet plane leave unpaired form one simple
+    cycle, which is what this checks. *)
+
+val vertices_3d :
+  ineqs:(Vec.t * Q.t) list -> (Vec.t list * dual) option
 (** [vertices_3d ~ineqs] is the exact vertex set of [{x : a·x <= b}]
     for 3-d constraint systems, enumerated by pair-line clipping and
-    certified complete; [None] when the certificate fails, the system
-    is degenerate, or the engine is in {!Rebuild} mode — callers run
-    the exact enumeration. The current handle's last intersection
-    result seeds candidate vertices, each admitted only through the
-    exact membership test. *)
+    certified complete, with the dual of the hull it certified on the
+    way: its [pts] are every candidate point, vertices or not, and its
+    soup may have non-vertex corners. [None] when the certificate
+    fails, the system is degenerate, or the engine is in {!Rebuild}
+    mode — callers run the exact enumeration. A point solved
+    uniquely from three constraints and inside all of them is a
+    vertex by construction; the current handle's last intersection
+    result seeds further candidates, each admitted through the exact
+    membership test and kept only if its tight facets have rank 3.
+    Nothing is inserted into the arena. *)
 
 (** {1 Engine handles}
 
@@ -110,6 +136,12 @@ val cross3 : Vec.t -> Vec.t -> Vec.t
 (** {1 Test hooks} *)
 
 module Dev : sig
+  val dual_of_soup : Vec.t array -> (int * int * int) array -> dual option
+  (** Certify an arbitrary triangle soup over integral points (the
+      first four must span a tetrahedron) and wrap it as a dual at
+      scale 1, [pts] = [spts] = the points; [None] when certification
+      fails. *)
+
   val certify :
     Vec.t array -> (int * int * int) array -> (Vec.t * Q.t) list option
   (** Run the hull certification gauntlet on an arbitrary triangle

@@ -1,7 +1,15 @@
 module Q = Numeric.Q
 module Filter = Numeric.Filter
 
-type t = { dim : int; verts : Vec.t list }
+(* [dual] is the certified dual a d = 3 polytope was built with, when
+   the incremental engine built it: scaled points, facet planes and
+   the soup (Poly_engine.dual). It is never part of the value: [equal],
+   [distinct] and the wire codec read [dim] and [verts] only, and a
+   polytope without one (d <= 2, a Minkowski sum, anything built under
+   the rebuild engine) answers every query from its vertices. *)
+type t = { dim : int; verts : Vec.t list; dual : Poly_engine.dual option }
+
+let plain dim verts = { dim; verts; dual = None }
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization. *)
@@ -14,9 +22,11 @@ let canon_1d pts =
 
 let canonicalize ~dim pts =
   match dim with
-  | 1 -> canon_1d pts
-  | 2 -> Hull2d.hull pts
-  | _ -> Hullnd.extreme_points pts
+  | 1 -> plain dim (canon_1d pts)
+  | 2 -> plain dim (Hull2d.hull pts)
+  | _ ->
+    let verts, dual = Hullnd.extreme_points_dual pts in
+    { dim; verts; dual }
 
 (* ------------------------------------------------------------------ *)
 (* The Minkowski table: under an adversarial (lag) scheduler several
@@ -50,15 +60,12 @@ let of_points ~dim pts =
         (fun q -> if Vec.dim q <> dim then
             invalid_arg "Polytope.of_points: inconsistent dimensions")
         pts;
-      if dim <= 2 then { dim; verts = canonicalize ~dim pts }
+      if dim <= 2 then canonicalize ~dim pts
       else
-        { dim;
-          verts =
-            Obs.Prof.with_span "geometry.hull" (fun () ->
-                canonicalize ~dim pts) }
+        Obs.Prof.with_span "geometry.hull" (fun () -> canonicalize ~dim pts)
     end
 
-let singleton p = { dim = Vec.dim p; verts = [p] }
+let singleton p = plain (Vec.dim p) [ p ]
 
 let vertices p = p.verts
 let dim p = p.dim
@@ -96,8 +103,19 @@ let subset p q =
   else if equal p q then true
   else if p.dim >= 3 then
     (* One H-representation of [q] answers every vertex of [p] with
-       exact sign tests, where [contains] would run one LP per vertex *)
-    let h = Hullnd.of_points ~dim:q.dim q.verts in
+       exact sign tests, where [contains] would run one LP per vertex.
+       A carried dual already holds it: its planes bound the scaled
+       points, so b/scale maps them back. *)
+    let h =
+      match q.dual with
+      | Some d ->
+        let linv = Q.inv (Q.of_bigint d.Poly_engine.scale) in
+        { Hullnd.dim = q.dim;
+          eqs = [];
+          ineqs =
+            List.map (fun (a, b) -> (a, Q.mul b linv)) d.Poly_engine.facets }
+      | None -> Hullnd.of_points ~dim:q.dim q.verts
+    in
     List.for_all (Hullnd.mem_hrep h) p.verts
   else List.for_all (contains q) p.verts
 
@@ -109,7 +127,7 @@ let subset p q =
    so every canonical form maps through directly — no hull recompute. *)
 let scale_poly c p =
   if Q.equal c Q.one then p
-  else { dim = p.dim; verts = List.map (Vec.scale c) p.verts }
+  else plain p.dim (List.map (Vec.scale c) p.verts)
 
 let minkowski_pair a b =
   match a.dim with
@@ -118,10 +136,9 @@ let minkowski_pair a b =
      | (la :: _), (lb :: _) ->
        let ha = List.nth a.verts (List.length a.verts - 1) in
        let hb = List.nth b.verts (List.length b.verts - 1) in
-       { dim = 1;
-         verts = canon_1d [Vec.add la lb; Vec.add ha hb] }
+       plain 1 (canon_1d [Vec.add la lb; Vec.add ha hb])
      | _ -> assert false)
-  | 2 -> { dim = 2; verts = Hull2d.minkowski_sum a.verts b.verts }
+  | 2 -> plain 2 (Hull2d.minkowski_sum a.verts b.verts)
   | d ->
     let verts =
       Parallel.Memo.find_or_add mink_memo (a.verts, b.verts)
@@ -132,9 +149,11 @@ let minkowski_pair a b =
                  List.concat_map (fun u -> List.map (Vec.add u) b.verts) a.verts)
                in
                Obs.Prof.with_span "mink.canon" (fun () ->
-               canonicalize ~dim:d sums)))
+               (canonicalize ~dim:d sums).verts)))
     in
-    { dim = d; verts }
+    (* a sum keeps no dual: the lag scheduler's history holds one per
+       process per round *)
+    plain d verts
 
 (* Terms are merged before any geometry runs. For a convex P and
    a, b >= 0, aP ⊕ bP = (a+b)P, so terms with equal polytopes collapse
@@ -245,7 +264,7 @@ let intersect_1d polys =
       (snd (List.hd bounds)) bounds
   in
   if Q.gt lo hi then None
-  else Some { dim = 1; verts = canon_1d [Vec.make [lo]; Vec.make [hi]] }
+  else Some (plain 1 (canon_1d [Vec.make [lo]; Vec.make [hi]]))
 
 let intersect polys =
   match polys with
@@ -275,7 +294,7 @@ let intersect polys =
        in
        (match result with
         | [] -> None
-        | verts -> Some { dim = 2; verts })
+        | verts -> Some (plain 2 verts))
      | _ ->
        Obs.Prof.with_span "geometry.intersect" @@ fun () ->
        (* The H-representation constructions all run on the input
@@ -303,17 +322,15 @@ let intersect polys =
          else None
        in
        match fast with
-       | Some verts -> Some { dim = d; verts }
+       | Some (verts, dual) -> Some { dim = d; verts; dual = Some dual }
        | None ->
          match Obs.Prof.with_span "isect.vertices" (fun () ->
              Hullnd.vertices combined) with
          | [] -> None
          | vs ->
            Some
-             { dim = d;
-               verts =
-                 Obs.Prof.with_span "isect.extreme" (fun () ->
-                     Hullnd.extreme_points vs) })
+             (Obs.Prof.with_span "isect.extreme" (fun () ->
+                  canonicalize ~dim:d vs)))
 
 (* ------------------------------------------------------------------ *)
 (* Round 0: the points every (|X|-f)-subset hull contains. *)
@@ -405,7 +422,7 @@ let depth_region ~dim ~f pts =
     let xs = Array.of_list (List.sort Q.compare (List.map (fun p -> p.(0)) pts)) in
     let lo = xs.(f) and hi = xs.(keep - 1) in
     if Q.gt lo hi then None
-    else Some { dim; verts = canon_1d [ Vec.make [ lo ]; Vec.make [ hi ] ] }
+    else Some (plain dim (canon_1d [ Vec.make [ lo ]; Vec.make [ hi ] ]))
   | 2 | 3 ->
     (match depth_halfspaces ~dim ~keep pts with
      | None -> subset_hull_region ~dim ~f pts
@@ -416,14 +433,14 @@ let depth_region ~dim ~f pts =
             (Hull2d.hull pts) cons
         with
         | [] -> None
-        | verts -> Some { dim; verts })
+        | verts -> Some (plain dim verts))
      | Some ineqs ->
        (match Poly_engine.vertices_3d ~ineqs with
-        | Some verts -> Some { dim; verts }
+        | Some (verts, dual) -> Some { dim; verts; dual = Some dual }
         | None ->
           (match Hullnd.vertices { Hullnd.dim; eqs = []; ineqs } with
            | [] -> None
-           | vs -> Some { dim; verts = Hullnd.extreme_points vs })))
+           | vs -> Some (canonicalize ~dim vs))))
   | _ -> subset_hull_region ~dim ~f pts
 
 (* ------------------------------------------------------------------ *)
@@ -446,7 +463,11 @@ let volume p =
      | [a; b] -> Some (Q.sub b.(0) a.(0))
      | _ -> assert false)
   | 2 -> Some (Q.div (Hull2d.area2 p.verts) Q.two)
-  | 3 -> Some (Volume3d.volume p.verts)
+  | 3 ->
+    Some
+      (match p.dual with
+       | Some d -> Volume3d.of_dual d
+       | None -> Volume3d.volume p.verts)
   | _ -> None
 
 let diameter2 p =
@@ -464,7 +485,7 @@ let diameter2 p =
 (* Helpers. *)
 
 let translate v p =
-  { dim = p.dim; verts = canonicalize ~dim:p.dim (List.map (Vec.add v) p.verts) }
+  canonicalize ~dim:p.dim (List.map (Vec.add v) p.verts)
 
 let support p dir =
   match p.verts with

@@ -94,6 +94,23 @@ let unscale six_v l =
   let l3 = Numeric.Bigint.mul l (Numeric.Bigint.mul l l) in
   Q.div six_v (Q.mul (Q.of_int 6) (Q.of_bigint l3))
 
+(* The carried dual's volume: the signed-volume sum over the soup's
+   triangles when they cover the boundary once, one det3 per triangle
+   with no tight scan or in-plane ordering; the facet fans over the
+   dual's scaled points otherwise, and for exact-path duals, which
+   have no soup. *)
+let of_dual (d : Poly_engine.dual) =
+  let six_v =
+    match Option.bind d.Poly_engine.shape Poly_engine.covering with
+    | Some tris ->
+      let spts = Array.of_list d.Poly_engine.spts in
+      Array.fold_left
+        (fun acc (a, b, c) -> Q.add acc (det3 spts.(a) spts.(b) spts.(c)))
+        Q.zero tris
+    | None -> six_volume d.Poly_engine.spts d.Poly_engine.facets
+  in
+  unscale six_v d.Poly_engine.scale
+
 let volume verts0 =
   match verts0 with
   | [] -> Q.zero

@@ -17,6 +17,11 @@ module PE = Geometry.Poly_engine
 module Hullnd = Geometry.Hullnd
 module Polytope = Geometry.Polytope
 
+let qt =
+  Alcotest.testable
+    (fun ppf q -> Format.pp_print_string ppf (Q.to_string q))
+    Q.equal
+
 (* The rebuild leg is the oracle; the incremental leg runs under a
    fresh handle so no warm-start state leaks across trials. *)
 let rebuild f = PE.with_mode PE.Rebuild f
@@ -228,7 +233,7 @@ let test_with_mode_scope () =
       [ 0; 1; 2 ]
   in
   let cube_vertices () =
-    Option.map List.length (PE.vertices_3d ~ineqs:unit_cube)
+    Option.map (fun (vs, _) -> List.length vs) (PE.vertices_3d ~ineqs:unit_cube)
   in
   Alcotest.check mode "default" PE.Incremental (PE.mode ());
   Alcotest.(check (option int)) "incremental enumerates the cube" (Some 8)
@@ -247,6 +252,244 @@ let test_with_mode_scope () =
    | exception Failure _ -> ());
   Alcotest.check mode "restored on exception" PE.Incremental (PE.mode ())
 
+(* --- the carried dual ------------------------------------------------ *)
+
+(* Random d=3 point sets for the soup volume: 4-30 base points on the
+   1000-grid or with small denominators, then points on the exact
+   hull's facets and edges (centroids of three facet points, points a
+   third of the way along a segment two facets share), then repeats
+   of base points. *)
+let gen_grid_q =
+  QCheck.Gen.map (fun i -> Q.of_ints i 1000) QCheck.Gen.(0 -- 1000)
+
+let gen_volume_case =
+  let open QCheck.Gen in
+  let* n = 4 -- 30 in
+  let* coord = oneofl [ gen_grid_q; Gen.gen_small_q ] in
+  let* base =
+    list_size (return n) (map Array.of_list (list_size (return 3) coord))
+  in
+  let* picks = list_size (0 -- 4) (0 -- 1000) in
+  let* dups = list_size (0 -- 3) (0 -- (n - 1)) in
+  return (base, picks, dups)
+
+let print_volume_case (base, picks, dups) =
+  Printf.sprintf "%s picks [%s] dups [%s]" (Gen.print_points base)
+    (String.concat ";" (List.map string_of_int picks))
+    (String.concat ";" (List.map string_of_int dups))
+
+let arb_volume_case = QCheck.make ~print:print_volume_case gen_volume_case
+
+(* [base] plus the boundary points [picks] select and the repeats
+   [dups] name. *)
+let with_boundary_points (base, picks, dups) =
+  let h =
+    Parallel.Memo.with_bypass (fun () ->
+        rebuild (fun () -> Hullnd.of_points ~dim:3 base))
+  in
+  let facets = Array.of_list h.Hullnd.ineqs in
+  let pts = Hullnd.dedupe_points base in
+  let tight (a, b) = List.filter (fun p -> Q.equal (Vec.dot a p) b) pts in
+  let on_boundary k =
+    let ((a, b) as facet) = facets.(k mod Array.length facets) in
+    let t = tight facet in
+    let on_facet =
+      match t with x :: y :: z :: _ -> [ Vec.average [ x; y; z ] ] | _ -> []
+    in
+    let shared u v (a', b') =
+      (not (Vec.equal a a' && Q.equal b b'))
+      && Q.equal (Vec.dot a' u) b' && Q.equal (Vec.dot a' v) b'
+    in
+    let on_edge =
+      List.concat_map
+        (fun u ->
+           List.filter_map
+             (fun v ->
+                if Vec.compare u v < 0 && Array.exists (shared u v) facets then
+                  Some (Vec.lincomb [ (Q.of_ints 1 3, u); (Q.of_ints 2 3, v) ])
+                else None)
+             t)
+        t
+    in
+    on_facet @ (match on_edge with e :: _ -> [ e ] | [] -> [])
+  in
+  let extra =
+    if h.Hullnd.eqs <> [] || Array.length facets = 0 then []
+    else List.concat_map on_boundary picks
+  in
+  base @ extra @ List.map (List.nth base) dups
+
+(* The facet-fan oracle: Volume3d.volume on the vertex list, under the
+   rebuild engine with every cache bypassed. *)
+let fan_volume p =
+  Parallel.Memo.with_bypass (fun () ->
+      rebuild (fun () -> Geometry.Volume3d.volume (Polytope.vertices p)))
+
+let soup_volume_prop =
+  Gen.prop ~count:30 "carried-dual volume = facet-fan oracle" arb_volume_case
+    (fun ((base, picks, dups) as case) ->
+       let fresh f = Parallel.Memo.with_bypass (fun () -> incremental f) in
+       let agrees p =
+         Option.equal Q.equal (fresh (fun () -> Polytope.volume p))
+           (Some (fan_volume p))
+       in
+       let hull =
+         fresh (fun () -> Polytope.of_points ~dim:3 (with_boundary_points case))
+       in
+       (* depth_region on a prefix: large f = 1 views can exceed the
+          float intersection's constraint cap, and the exact vertex
+          enumeration behind it is cubic in the constraint count *)
+       let view =
+         with_boundary_points
+           (List.filteri (fun i _ -> i < 8) base, picks,
+            List.filter (fun i -> i < 8) dups)
+       in
+       agrees hull
+       && (List.length view <= 1
+           ||
+           match
+             fresh (fun () -> Polytope.depth_region ~dim:3 ~f:1 view)
+           with
+           | None -> true
+           | Some r -> agrees r))
+
+let tet_points =
+  Array.map Vec.of_ints
+    [| [ 0; 0; 0 ]; [ 4; 0; 0 ]; [ 0; 4; 0 ]; [ 0; 0; 4 ];
+       [ 2; 0; 0 ]; [ 0; 2; 0 ]; [ 0; 0; 2 ]; [ 2; 2; 0 ]; [ 2; 0; 2 ];
+       [ 0; 2; 2 ] |]
+
+(* The midpoint of corners [a] and [b] of [tet_points]' tetrahedron. *)
+let tet_mid a b =
+  match (min a b, max a b) with
+  | 0, 1 -> 4 | 0, 2 -> 5 | 0, 3 -> 6 | 1, 2 -> 7 | 1, 3 -> 8 | _ -> 9
+
+(* Corner order counter-clockwise from outside: the centroid (1,1,1)
+   lies below the triangle's plane. *)
+let outward (a, b, c) =
+  let p = tet_points in
+  let n = PE.cross3 (Vec.sub p.(b) p.(a)) (Vec.sub p.(c) p.(a)) in
+  if Q.sign (Vec.dot n (Vec.sub (Vec.of_ints [ 1; 1; 1 ]) p.(a))) > 0 then
+    (a, c, b)
+  else (a, b, c)
+
+(* A certified soup may cover the boundary more than once: here the
+   tetrahedron's four faces plus the same faces split at their edge
+   midpoints, a closed outward surface with no repeated directed edge.
+   Its triangle sum reads twice the volume; the covering check must
+   refuse it, so the volume comes from the facet fans. *)
+let test_double_cover () =
+  let faces = [ (0, 1, 2); (0, 1, 3); (0, 2, 3); (1, 2, 3) ] in
+  let once = List.map outward faces in
+  let split (a, b, c) =
+    let ab = tet_mid a b and bc = tet_mid b c and ca = tet_mid c a in
+    List.map outward [ (a, ab, ca); (b, bc, ab); (c, ca, bc); (ab, bc, ca) ]
+  in
+  let twice = once @ List.concat_map split faces in
+  let volume = Geometry.Volume3d.volume (Array.to_list tet_points) in
+  Alcotest.check qt "tetrahedron volume" (Q.of_ints 32 3) volume;
+  let dual tris =
+    match PE.Dev.dual_of_soup tet_points (Array.of_list tris) with
+    | Some d -> d
+    | None -> Alcotest.fail "a closed outward soup must certify"
+  in
+  let covers d = Option.is_some (Option.bind d.PE.shape PE.covering) in
+  let single = dual once and double = dual twice in
+  Alcotest.(check bool) "four faces cover once" true (covers single);
+  Alcotest.check qt "single cover: soup volume" volume
+    (Geometry.Volume3d.of_dual single);
+  let six_soup =
+    List.fold_left
+      (fun acc (a, b, c) ->
+         let p = tet_points in
+         Q.add acc (Vec.dot p.(a) (PE.cross3 p.(b) p.(c))))
+      Q.zero twice
+  in
+  Alcotest.check qt "the double soup sums to twice the volume"
+    (Q.mul_int volume 12) six_soup;
+  Alcotest.(check bool) "covering check refuses the double cover" false
+    (covers double);
+  Alcotest.check qt "double cover: facet-fan volume" volume
+    (Geometry.Volume3d.of_dual double)
+
+(* A polytope decoded from the wire has no dual under the rebuild
+   engine; the engine-built original carries the one vertices_3d
+   certified. Value, volume and containment must not tell them
+   apart. *)
+let test_decoded_twin () =
+  let view =
+    List.map Vec.of_ints
+      [ [ 0; 0; 0 ]; [ 9; 1; 0 ]; [ 1; 8; 1 ]; [ 0; 1; 9 ]; [ 7; 7; 2 ];
+        [ 6; 1; 7 ]; [ 2; 6; 6 ]; [ 4; 4; 4 ] ]
+  in
+  let built =
+    incremental (fun () ->
+        Parallel.Memo.with_bypass (fun () ->
+            Option.get (Polytope.depth_region ~dim:3 ~f:1 view)))
+  in
+  let decoded =
+    rebuild (fun () ->
+        Codec.Wire.polytope_of_string (Codec.Wire.polytope_to_string built))
+  in
+  Alcotest.(check bool) "decoded = built" true (Polytope.equal built decoded);
+  Alcotest.(check (option qt)) "same volume" (Polytope.volume built)
+    (Polytope.volume decoded);
+  let hull = Polytope.of_points ~dim:3 view in
+  let centre = Polytope.singleton (Polytope.centroid built) in
+  let half =
+    Polytope.linear_combination [ (Q.half, built); (Q.half, centre) ]
+  in
+  let shifted = Polytope.translate (Vec.of_ints [ 1; 0; 0 ]) built in
+  List.iter
+    (fun (label, x, inside) ->
+       Alcotest.(check bool) (label ^ " in built") inside
+         (Polytope.subset x built);
+       Alcotest.(check bool) (label ^ " in decoded") inside
+         (Polytope.subset x decoded);
+       Alcotest.(check bool) ("built in " ^ label)
+         (Polytope.subset built x) (Polytope.subset decoded x))
+    [ ("centre", centre, true); ("half", half, true);
+      ("shifted", shifted, false); ("hull", hull, false) ]
+
+let counter metric =
+  List.fold_left
+    (fun acc s ->
+       match s with
+       | { Obs.Metrics.metric = m; value = Obs.Metrics.Counter v; _ }
+         when m = metric -> acc + v
+       | _ -> acc)
+    0 (Obs.Metrics.snapshot_all ())
+
+(* Hull builds and arena lookups per graded n7-f1-d3 execution, caches
+   cleared before each. The decision is round 0's h[0], which carries
+   the dual vertices_3d certified, and the input hulls carry theirs, so
+   grading builds no hull again. The counts repeat exactly from run to
+   run; a consumer that re-derives a carried dual shows up here. *)
+let test_hull_build_ratchet () =
+  let config =
+    Chc.Config.make ~n:7 ~f:1 ~d:3 ~eps:(Q.of_ints 1 100) ~lo:Q.zero ~hi:Q.one
+  in
+  let seeds = List.init 10 (fun i -> i + 1) in
+  let builds = ref 0 and lookups = ref 0 in
+  List.iter
+    (fun seed ->
+       Parallel.Memo.clear_all ();
+       let b0 = counter "chc_poly_hull_total"
+       and l0 = counter "chc_poly_arena_total" in
+       let r = Chc.Executor.run (Chc.Executor.default_spec ~config ~seed ()) in
+       Alcotest.(check bool) (Printf.sprintf "seed %d healthy" seed) true
+         (r.Chc.Executor.terminated && r.Chc.Executor.valid);
+       builds := !builds + counter "chc_poly_hull_total" - b0;
+       lookups := !lookups + counter "chc_poly_arena_total" - l0)
+    seeds;
+  let per n = float_of_int n /. float_of_int (List.length seeds) in
+  if per !builds > 2.6 then
+    Alcotest.failf "%.2f 3-d hull builds per execution (ratchet: 2.6)"
+      (per !builds);
+  if per !lookups > 3.0 then
+    Alcotest.failf "%.2f arena lookups per execution (ratchet: 3.0)"
+      (per !lookups)
+
 let suite =
   [ ( "poly_engine",
       [ Alcotest.test_case "certification teeth" `Quick test_certify_teeth;
@@ -257,4 +500,11 @@ let suite =
       @ List.map Gen.qtest props
       @ [ Alcotest.test_case "with_mode is scoped and domain-local" `Quick
             test_with_mode_scope;
-          Gen.qtest support_prop ] ) ]
+          Gen.qtest support_prop;
+          Gen.qtest soup_volume_prop;
+          Alcotest.test_case "double cover falls back to facet fans" `Quick
+            test_double_cover;
+          Alcotest.test_case "decoded twin answers alike" `Quick
+            test_decoded_twin;
+          Alcotest.test_case "hull builds per execution ratchet" `Quick
+            test_hull_build_ratchet ] ) ]
