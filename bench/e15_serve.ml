@@ -6,6 +6,8 @@
    - warmup:    a short mixed closed loop (shapes from
                 Workload.default_mix, including crash-recovery
                 instances) that also populates the caches;
+   - sustained-64: the same n=6/f=1/d=2 shape at 64 in flight, the
+                reference the 1000-in-flight phase is read against;
    - sustained: the headline closed loop — >= 1000 concurrent
                 n=6/f=1/d=2 instances held in flight until the
                 completion target, the throughput measurement;
@@ -33,6 +35,13 @@ let run () =
       ~total:(if fast then 40 else 200)
       ()
   in
+  let sustained_64 =
+    Workload.closed_loop ~server ~rng ~mix:[ sustained_shape ]
+      ~label:"sustained-64" ~first_id:500_000
+      ~concurrency:(if fast then 16 else 64)
+      ~total:(if fast then 32 else 320)
+      ()
+  in
   let sustained =
     Workload.closed_loop ~server ~rng ~mix:[ sustained_shape ]
       ~label:"sustained" ~first_id:1_000_000
@@ -47,12 +56,12 @@ let run () =
       ~pumps:(if fast then 10 else 40)
       ()
   in
-  let phases = [ warmup; sustained; open_loop ] in
+  let phases = [ warmup; sustained_64; sustained; open_loop ] in
   Util.print_table ~title:"E15: serving daemon (closed/open loop)"
     ~header:
       [ "phase"; "instances"; "wall_s"; "inst/s"; "p50_ms"; "p99_ms";
         "max_ms"; "inflight<="; "violations" ]
-    ~widths:[ 10; 9; 8; 8; 8; 8; 8; 10; 10 ]
+    ~widths:[ 12; 9; 8; 8; 8; 8; 8; 10; 10 ]
     (List.map
        (fun (p : Workload.phase) ->
           [ p.Workload.label;

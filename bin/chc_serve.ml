@@ -31,8 +31,11 @@ let shards_arg =
 let fuel_arg =
   Arg.(value & opt int 64
        & info ["fuel"] ~docv:"MSGS"
-           ~doc:"Messages delivered per instance per pump round — the \
-                 per-instance latency vs cross-instance fairness dial.")
+           ~doc:"Messages delivered per started instance per pump round \
+                 — the per-instance latency vs cross-instance fairness \
+                 dial. Each shard runs two started instances and queues \
+                 the rest, so a pump round is at most twice $(docv) \
+                 deliveries per shard.")
 
 let wal_dir_arg =
   Arg.(value & opt (some string) None
@@ -185,7 +188,9 @@ let metrics_every_arg =
        & info ["metrics-every"] ~docv:"N"
            ~doc:"Every $(docv) pump rounds, write the full Prometheus \
                  exposition to --metrics-out (atomic replace — a \
-                 textfile-collector snapshot).")
+                 textfile-collector snapshot). A pump round is at most \
+                 twice --fuel deliveries per shard, so choose $(docv) \
+                 by that, not by the number in flight.")
 
 let metrics_out_arg =
   Arg.(value & opt (some string) None

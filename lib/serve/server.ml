@@ -43,7 +43,8 @@ let resumed_total =
 
 let inflight_gauge =
   Obs.Metrics.gauge "chc_serve_inflight"
-    ~help:"Instances currently live across all shards."
+    ~help:"Instances accepted and not yet decided, queued or started, \
+           across all shards."
 
 let throughput_gauge =
   Obs.Metrics.gauge "chc_serve_throughput_ips"
@@ -142,22 +143,35 @@ let grade o =
    time can step backwards under NTP and make a latency negative. *)
 let seconds_since = Obs.Prof.seconds_since
 
-type running = {
-  rjob : job;
-  insts : Instance.t array;
-  lb : Instance.msg Loopback.t;
+(* Started instances a shard pumps at once. A job's instances are
+   built only when it takes a slot, so they are allocated young and
+   die young instead of waiting out the queue in the major heap; see
+   DESIGN, "build on admission, two started per shard". Two, not one:
+   while a slow instance holds one slot, the other keeps cycling
+   through the queue. *)
+let slots = 2
+
+(* An accepted job in its shard's FIFO: what the client's answer and a
+   restart depend on, but nothing it runs with yet. *)
+type pending = {
+  pjob : job;
+  resume : Recovery.event list array option;
   wal : Sink.appender array option;
-  wal_ok : bool array;  (* per-process durability; cleared on I/O error *)
-  trace : Obs.Trace.t option;  (* armed when causal_k > 0 *)
   inst_dir : string option;
   submitted_ns : int64;
-  mutable first_pump_ns : int64 option;
-  was_resumed : bool;
+}
+
+(* A started job: its n instances over their private loopback. *)
+type running = {
+  p : pending;
+  insts : Instance.t array;
+  lb : Instance.msg Loopback.t;
+  trace : Obs.Trace.t option;  (* armed when causal_k > 0 *)
 }
 
 type shard = {
-  mutable live : running list;     (** submission order *)
-  mutable incoming : running list; (** newest first; merged at pump *)
+  queue : pending Queue.t;  (** accepted, not yet started: the admission FIFO *)
+  mutable live : running list;  (** started, at most [slots], start order *)
   mutable starved : int;  (* fuel debt: live jobs that ate a full budget
                              last pump and still did not finish *)
 }
@@ -224,7 +238,7 @@ let create ?shards ?(fuel = 64) ?(slow_s = 1.0) ?(causal_k = 0) ?wal_dir ()
     wal_dir;
     shards_arr =
       Array.init shard_count (fun _ ->
-          { live = []; incoming = []; starved = 0 });
+          { queue = Queue.create (); live = []; starved = 0 });
     live_ids = Hashtbl.create 256;
     created_ns = Obs.Prof.now_ns ();
     ws =
@@ -262,6 +276,13 @@ let note_wal_error t msg =
   Atomic.set t.ws.ws_last_error (Some msg);
   Obs.Metrics.incr wal_errors_total
 
+(* Same arming rule as {!Chc.Cc.execute}, plus: a wal_dir or a resume
+   always arms durability (the whole point of the daemon's WAL). *)
+let wal_spec t ~resumed job =
+  if t.wal_dir <> None || resumed || Array.exists is_recover_plan job.crash
+  then Some Runtime.Wal.default_config
+  else None
+
 let submit t ?resume job =
   if Hashtbl.mem t.live_ids job.id then
     invalid_arg
@@ -269,21 +290,12 @@ let submit t ?resume job =
   let n = job.config.Config.n in
   if Array.length job.crash <> n then
     invalid_arg "Server.submit: need n crash plans";
-  (* Same arming rule as {!Chc.Cc.execute}, plus: a wal_dir or a resume
-     always arms durability (the whole point of the daemon's WAL). *)
-  let recovery_on =
-    t.wal_dir <> None || resume <> None
-    || Array.exists is_recover_plan job.crash
-  in
-  let wal_spec = if recovery_on then Some Runtime.Wal.default_config else None in
-  let spec = Instance.spec ~round0:job.round0 ?wal:wal_spec job.config in
+  (* [Instance.create] checks the inputs too, but only once the shard
+     starts the job, inside a pump: refuse here, where the caller can
+     be told. *)
+  Array.iter (Config.validate_input job.config) job.inputs;
   let shard_ix =
     ((job.id mod t.shard_count) + t.shard_count) mod t.shard_count
-  in
-  let shard = t.shards_arr.(shard_ix) in
-  let insts =
-    Array.init n (fun i ->
-        Instance.create spec ~me:i ~input:job.inputs.(i))
   in
   let inst_dir, wal =
     match t.wal_dir with
@@ -304,7 +316,8 @@ let submit t ?resume job =
          Chc.Scenario.save ~path:meta
            (Chc.Scenario.make ~config:job.config ~inputs:job.inputs
               ~crash:job.crash ~scheduler:Runtime.Scheduler.fifo ~seed:0
-              ~round0:job.round0 ?wal:wal_spec ());
+              ~round0:job.round0
+              ?wal:(wal_spec t ~resumed:(resume <> None) job) ());
          Array.init n (fun pid ->
              let ap = Sink.append_open ~path:(wal_path pid) in
              opened := ap :: !opened;
@@ -331,6 +344,41 @@ let submit t ?resume job =
          Obs.Log.error "wal_error"
            [ ("id", Obs.Log.I job.id); ("error", Obs.Log.S msg) ];
          raise e)
+  in
+  Queue.push
+    { pjob = job; resume; wal; inst_dir; submitted_ns = Obs.Prof.now_ns () }
+    t.shards_arr.(shard_ix).queue;
+  Hashtbl.replace t.live_ids job.id ();
+  Obs.Metrics.incr submitted_total;
+  if resume <> None then Obs.Metrics.incr resumed_total;
+  Obs.Metrics.set inflight_gauge (float_of_int (inflight t));
+  if Obs.Log.enabled Obs.Log.Debug then
+    Obs.Log.debug "submit"
+      [ ("id", Obs.Log.I job.id);
+        ("n", Obs.Log.I n);
+        ("f", Obs.Log.I job.config.Config.f);
+        ("d", Obs.Log.I job.config.Config.d);
+        ("shard", Obs.Log.I shard_ix);
+        ("resumed", Obs.Log.B (resume <> None)) ]
+
+(* Admission: build the job's n instances, their ios and the loopback.
+   Runs inside the shard's pump, so on a worker domain when there are
+   several shards: it reads the server's settings and changes none of
+   its state. *)
+let start t p =
+  let job = p.pjob in
+  let n = job.config.Config.n in
+  if Obs.Prof.enabled () then
+    Obs.Prof.slice ~track:job.id ~ts_ns:p.submitted_ns
+      ~dur_ns:(Int64.sub (Obs.Prof.now_ns ()) p.submitted_ns) "queued";
+  let spec =
+    Instance.spec ~round0:job.round0
+      ?wal:(wal_spec t ~resumed:(p.resume <> None) job)
+      job.config
+  in
+  let insts =
+    Array.init n (fun i ->
+        Instance.create spec ~me:i ~input:job.inputs.(i))
   in
   let wal_ok = Array.make n true in
   let trace =
@@ -371,7 +419,7 @@ let submit t ?resume job =
                   Obs.Metrics.add wal_bytes_total (String.length line + 1)
                 | exception exn -> wal_degrade pid exn
               end)
-           wal)
+           p.wal)
       ?on_sync:
         (Option.map
            (fun aps () ->
@@ -383,7 +431,7 @@ let submit t ?resume job =
                     (Atomic.get t.ws.ws_appends)
                 | exception exn -> wal_degrade pid exn
               end)
-           wal)
+           p.wal)
       ?emit:(Option.map Obs.Trace.emit trace)
       ()
   in
@@ -404,7 +452,7 @@ let submit t ?resume job =
   let make i =
     let inst = insts.(i) in
     let kickoff () =
-      match resume with
+      match p.resume with
       | None -> Instance.start inst
       | Some entries -> Instance.restore inst ~entries:entries.(i)
     in
@@ -420,43 +468,26 @@ let submit t ?resume job =
     Loopback.create ?trace ~on_crash ~on_recover ~crash:job.crash ~n ~make
       ()
   in
-  let r =
-    { rjob = job; insts; lb; wal; wal_ok; trace; inst_dir;
-      submitted_ns = Obs.Prof.now_ns ();
-      first_pump_ns = None;
-      was_resumed = resume <> None }
-  in
-  shard.incoming <- r :: shard.incoming;
-  Hashtbl.replace t.live_ids job.id ();
-  Obs.Metrics.incr submitted_total;
-  if r.was_resumed then Obs.Metrics.incr resumed_total;
-  Obs.Metrics.set inflight_gauge (float_of_int (inflight t));
-  if Obs.Log.enabled Obs.Log.Debug then
-    Obs.Log.debug "submit"
-      [ ("id", Obs.Log.I job.id);
-        ("n", Obs.Log.I n);
-        ("f", Obs.Log.I job.config.Config.f);
-        ("d", Obs.Log.I job.config.Config.d);
-        ("shard", Obs.Log.I shard_ix);
-        ("resumed", Obs.Log.B r.was_resumed) ]
+  { p; insts; lb; trace }
 
 let finalize t r =
+  let job = r.p.pjob in
   let recovered =
     List.filter (Loopback.recovered_of r.lb)
       (List.init (Loopback.n r.lb) Fun.id)
   in
   let outputs =
-    graded_set r.rjob recovered
+    graded_set job recovered
     |> List.filter_map (fun i ->
         Option.map (fun h -> (i, h)) (Instance.poll_decision r.insts.(i)))
   in
   let m = Loopback.metrics r.lb in
-  (match r.wal with Some aps -> Array.iter Sink.append_close aps | None -> ());
-  (match r.inst_dir with
+  (match r.p.wal with Some aps -> Array.iter Sink.append_close aps | None -> ());
+  (match r.p.inst_dir with
    | None -> ()
    | Some dir ->
      let marker =
-       Printf.sprintf "{\"id\":%d,\"t_end\":%d,\"decided\":%d}" r.rjob.id
+       Printf.sprintf "{\"id\":%d,\"t_end\":%d,\"decided\":%d}" job.id
          (Instance.t_end r.insts.(0))
          (List.length outputs)
      in
@@ -466,13 +497,13 @@ let finalize t r =
       with
       | Ok () -> ()
       | Error msg -> Printf.eprintf "chc_serve: %s\n%!" msg));
-  let latency_s = seconds_since r.submitted_ns in
+  let latency_s = seconds_since r.p.submitted_ns in
   Obs.Metrics.observe latency_hist latency_s;
   Obs.Metrics.incr decided_total;
   let t_end = Instance.t_end r.insts.(0) in
   if Obs.Log.enabled Obs.Log.Info then
     Obs.Log.info "decide"
-      [ ("id", Obs.Log.I r.rjob.id);
+      [ ("id", Obs.Log.I job.id);
         ("t_end", Obs.Log.I t_end);
         ("steps", Obs.Log.I m.Transport.steps);
         ("decided", Obs.Log.I (List.length outputs));
@@ -480,7 +511,7 @@ let finalize t r =
         ("latency_s", Obs.Log.F latency_s) ];
   if latency_s > t.slow_s then
     Obs.Log.warn "slow_request"
-      [ ("id", Obs.Log.I r.rjob.id);
+      [ ("id", Obs.Log.I job.id);
         ("latency_s", Obs.Log.F latency_s);
         ("threshold_s", Obs.Log.F t.slow_s);
         ("steps", Obs.Log.I m.Transport.steps);
@@ -488,24 +519,28 @@ let finalize t r =
   if Obs.Prof.enabled () then begin
     (* envelope slice for the whole job on its own track *)
     let now = Obs.Prof.now_ns () in
-    Obs.Prof.slice ~track:r.rjob.id ~ts_ns:r.submitted_ns
-      ~dur_ns:(Int64.sub now r.submitted_ns)
+    Obs.Prof.slice ~track:job.id ~ts_ns:r.p.submitted_ns
+      ~dur_ns:(Int64.sub now r.p.submitted_ns)
       ~attrs:
         [ ("t_end", string_of_int t_end);
           ("steps", string_of_int m.Transport.steps) ]
       "job"
   end;
-  { job = r.rjob;
+  { job;
     outputs;
     t_end;
     steps = m.Transport.steps;
     latency_s;
     recovered;
-    resumed = r.was_resumed }
+    resumed = r.p.resume <> None }
 
 let pump_shard t shard =
-  shard.live <- shard.live @ List.rev shard.incoming;
-  shard.incoming <- [];
+  while
+    List.compare_length_with shard.live slots < 0
+    && not (Queue.is_empty shard.queue)
+  do
+    shard.live <- shard.live @ [ start t (Queue.pop shard.queue) ]
+  done;
   let completed = ref [] in
   let starved = ref 0 in
   let still =
@@ -513,19 +548,13 @@ let pump_shard t shard =
       (fun r ->
          let profiling = Obs.Prof.enabled () in
          let t0 = if profiling then Obs.Prof.now_ns () else 0L in
-         if profiling && r.first_pump_ns = None then begin
-           r.first_pump_ns <- Some t0;
-           (* time spent queued before any shard attention *)
-           Obs.Prof.slice ~track:r.rjob.id ~ts_ns:r.submitted_ns
-             ~dur_ns:(Int64.sub t0 r.submitted_ns) "queued"
-         end;
          let budget = ref t.fuel in
          while !budget > 0 && Loopback.step r.lb do
            decr budget
          done;
          let consumed = t.fuel - !budget in
          if profiling && consumed > 0 then
-           Obs.Prof.slice ~track:r.rjob.id ~ts_ns:t0
+           Obs.Prof.slice ~track:r.p.pjob.id ~ts_ns:t0
              ~dur_ns:(Int64.sub (Obs.Prof.now_ns ()) t0)
              ~attrs:[ ("steps", string_of_int consumed) ]
              "pump";
@@ -647,7 +676,7 @@ let statusz t () =
     |> List.map (fun s ->
         Obj
           [ ("live", Int (List.length s.live));
-            ("queued", Int (List.length s.incoming));
+            ("queued", Int (Queue.length s.queue));
             ("fuel_starved", Int s.starved) ])
   in
   let wal =

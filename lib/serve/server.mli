@@ -4,12 +4,16 @@
 
     One {!job} is one consensus instance — [n] sans-IO
     {!Chc.Instance}s wired to a private FIFO loopback. Jobs are
-    assigned to a shard by [id mod shards]; {!pump} advances every
-    shard in parallel (one pool task per shard, each delivering up to
-    [fuel] messages per live instance), so throughput scales with
-    domains while each instance's execution stays single-threaded and
-    deterministic. Completed instances come back as {!outcome}s, which
-    {!grade} checks against the paper's Theorem 2 properties.
+    assigned to a shard by [id mod shards] and wait in the shard's
+    admission FIFO. A shard runs at most two started jobs: at the start
+    of every pump it builds the instances of the jobs at the head of
+    its FIFO until both slots are full. {!pump} advances every shard
+    in parallel (one pool task per shard, each delivering up to [fuel]
+    messages per started instance), so throughput scales with domains
+    while each instance's execution stays single-threaded and
+    deterministic: its decision does not depend on when it started.
+    Completed instances come back as {!outcome}s, which {!grade}
+    checks against the paper's Theorem 2 properties.
 
     With a [wal_dir], every instance writes per-process WALs through
     {!Obs.Sink} appenders during execution (the {!Chc.Instance}
@@ -28,9 +32,10 @@
     Telemetry rides along without touching execution:
     {!Obs.Log} lines for submit / decide / slow-request / WAL-error
     (no-ops unless a level is set), per-job {!Obs.Prof} slices
-    ([queued] / [pump] / [job] on track = instance id) when profiling
-    is enabled, and — with [causal_k > 0] — retained {!Obs.Trace}s of
-    the slowest jobs for {!slowest}'s critical-path analysis.
+    ([queued] for the FIFO wait, [pump], [job] on track = instance id)
+    when profiling is enabled, and — with [causal_k > 0] — retained
+    {!Obs.Trace}s of the slowest jobs for {!slowest}'s critical-path
+    analysis.
     {!admin_source} packages the live view for {!Admin}. *)
 
 type job = {
@@ -81,19 +86,25 @@ val create :
   unit ->
   t
 (** [shards] defaults to the global pool size; [fuel] (messages
-    delivered per instance per pump, default 64) trades per-instance
-    latency against cross-instance fairness. [wal_dir] arms per-job
-    durability (created if missing). [slow_s] (default 1.0) is the
-    submit-to-decision latency above which an instance earns a
-    [slow_request] log line. [causal_k] (default 0) arms per-job event
-    traces and retains the [k] slowest jobs' traces for {!slowest} —
-    tracing costs memory per live instance, so it is opt-in.
+    delivered per started instance per pump, default 64) trades
+    per-instance latency against cross-instance fairness. A pump is at
+    most [2 * fuel] deliveries per shard, however many jobs are in
+    flight. [wal_dir] arms per-job durability (created if missing).
+    [slow_s] (default 1.0) is the submit-to-decision latency above
+    which an instance earns a [slow_request] log line. [causal_k]
+    (default 0) arms per-job event traces and retains the [k] slowest
+    jobs' traces for {!slowest} — tracing costs memory per started
+    instance, so it is opt-in.
     @raise Invalid_argument if [shards < 1], [fuel < 1] or
     [causal_k < 0];
     @raise Obs.Sink.Write_error if [wal_dir] cannot be created. *)
 
 val shards : t -> int
+
 val inflight : t -> int
+(** Jobs accepted by {!submit} and not yet decided: started ones and
+    those still in their shard's FIFO. *)
+
 val completed : t -> int
 (** Lifetime decided-instance count. *)
 
@@ -113,9 +124,15 @@ val grade_count : t -> outcome -> (unit, string) result
     {!grade} stays pure for tests and offline re-grading. *)
 
 val submit : t -> ?resume:Chc.Recovery.event list array -> job -> unit
-(** Enqueue a job on its shard. With [resume], each process restores
-    from the given WAL entries (the restart path) instead of starting
-    fresh. @raise Invalid_argument on a duplicate live [id].
+(** Accept a job: append it to its shard's admission FIFO. Its
+    instances are built only when the shard starts it, in a later
+    {!pump}; a [wal_dir] server creates the job's directory,
+    [meta.json] and WAL files here, so a job that never started
+    resumes after a restart from empty WALs. With [resume], each
+    process restores from the given WAL entries (the restart path)
+    instead of starting fresh.
+    @raise Invalid_argument on a duplicate live [id], a crash-plan
+    array not of length [n], or an input outside the job's bounds.
     @raise Obs.Sink.Write_error if a [wal_dir] server cannot create the
     instance's files (out of descriptors, say): the job is then not
     enqueued, the files it opened are closed, the directory it created
@@ -123,13 +140,17 @@ val submit : t -> ?resume:Chc.Recovery.event list array -> job -> unit
     [chc_serve_wal_errors_total]. *)
 
 val pump : t -> outcome list
-(** One parallel pump round: every shard advances its live instances
-    by up to [fuel] deliveries each. Returns instances that reached
-    quiescence during this round (decided, or dead-ended by
-    unrecovered crashes), oldest-submission first within a shard. *)
+(** One parallel pump round. Every shard first starts jobs from the
+    head of its FIFO until two are started, then advances each started
+    job's instances by up to [fuel] deliveries. Returns the jobs that
+    reached quiescence during this round (decided, or dead-ended by
+    unrecovered crashes), oldest-submission first within a shard. A
+    slot freed in this round is filled at the next. *)
 
 val drain : ?max_rounds:int -> t -> outcome list
 (** Pump until nothing is in flight (default [max_rounds = 100_000]).
+    The pumps needed grow with the queue, as each shard runs two jobs
+    at a time.
     @raise Runtime.Transport.Step_limit_exceeded if instances are
     still live after [max_rounds] pumps. *)
 
@@ -144,7 +165,8 @@ val admin_source : t -> Admin.source
     process-wide {!Obs.Metrics.exposition_all}; [/healthz] is healthy
     iff no Theorem-2 violation has been counted and no WAL write has
     failed; [/statusz] is the full JSON status page (uptime, per-shard
-    live/queued/fuel-starved, decision-latency percentiles, WAL byte
+    [live] (started jobs, at most two), [queued] (the admission FIFO's
+    length) and [fuel_starved], decision-latency percentiles, WAL byte
     and append-lag counters, memo hit rates, log drop counts — floats
     rendered as strings to stay within {!Codec.Json}). The thunks read
     mutable daemon state, so call them from the thread that pumps —

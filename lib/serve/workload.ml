@@ -8,9 +8,9 @@ let default_mix =
   [ { n = 4; f = 1; d = 1; recover = false };
     { n = 5; f = 1; d = 2; recover = false };
     { n = 6; f = 1; d = 2; recover = false };
-    (* 3-d instances exercise the incremental polytope engine; the
-       shared per-shard handle makes their round-over-round hulls (and
-       same-shape siblings) warm-start each other. *)
+    (* 3-d instances exercise the incremental polytope engine: each
+       process builds its own engine handle, whose ring warm-starts
+       its round-over-round hulls. *)
     { n = 6; f = 1; d = 3; recover = false };
     { n = 6; f = 1; d = 2; recover = true } ]
 

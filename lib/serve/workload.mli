@@ -30,8 +30,8 @@ type mix_item = {
 }
 
 val default_mix : mix_item list
-(** Four shapes spanning the cheap-to-moderate range, one with
-    recovery: (4,1,1), (5,1,2), (6,1,2), (6,1,2)+recover. *)
+(** Five shapes spanning the cheap-to-moderate range, one with
+    recovery: (4,1,1), (5,1,2), (6,1,2), (6,1,3), (6,1,2)+recover. *)
 
 val job : rng:Runtime.Rng.t -> id:int -> mix_item -> Server.job
 (** One job of the given shape: ε = 1/100 over the unit box, inputs

@@ -272,6 +272,27 @@ let wal_restart () =
   let pending = Server.scan_wal ~wal_dir in
   Alcotest.(check int) "scan finds exactly the unfinished"
     (Server.inflight first) (List.length pending);
+  (* A shard starts two jobs at a time, so a job still queued at the
+     kill left its meta.json and empty WALs behind, and resumes from
+     nothing. *)
+  let never_started =
+    List.filter_map
+      (fun ((j : Server.job), entries) ->
+         let dir =
+           Filename.concat wal_dir (Printf.sprintf "inst-%d" j.Server.id)
+         in
+         let empty pid =
+           (Unix.stat (Filename.concat dir (Printf.sprintf "wal-%d.jsonl" pid)))
+             .Unix.st_size = 0
+         in
+         if Array.for_all (( = ) []) entries
+            && List.for_all empty (List.init (Array.length entries) Fun.id)
+         then Some j.Server.id
+         else None)
+      pending
+  in
+  Alcotest.(check bool) "a pending job never started" true
+    (never_started <> []);
   let second = Server.create ~shards:1 ~fuel:8 ~wal_dir () in
   List.iter
     (fun (j, entries) -> Server.submit second ~resume:entries j)
@@ -288,6 +309,15 @@ let wal_restart () =
          Alcotest.failf "resumed instance %d fails Theorem 2: %s"
            o.Server.job.Server.id msg)
     outcomes;
+  List.iter
+    (fun id ->
+       Alcotest.(check bool)
+         (Printf.sprintf "never-started instance %d decides on resume" id)
+         true
+         (List.exists
+            (fun (o : Server.outcome) -> o.Server.job.Server.id = id)
+            outcomes))
+    never_started;
   (* after finishing, a second scan finds nothing *)
   Alcotest.(check int) "markers written" 0
     (List.length (Server.scan_wal ~wal_dir))
@@ -553,6 +583,135 @@ let delivery_allocation () =
     [ ("n4-d1", { Workload.n = 4; f = 1; d = 1; recover = false }, 40, 1);
       ("n6-d2", { Workload.n = 6; f = 1; d = 2; recover = false }, 10, 3) ]
 
+(* GC ratchet under load: promoted words per decision while one shard
+   holds 1,000 n4-d1 jobs in flight, with a new submit for every
+   decision inside the measured window. A job whose instances are
+   built at submit reaches the major heap before it runs, and every
+   young object its run then links into it is promoted as well; built
+   when it takes one of the shard's two slots, it lives and dies
+   young. The count moves by under 1% from run to run and involves no
+   clock, so the bound needs no timing margin: the eager-build parent
+   reads about 9,700 and this shard about 1,800. *)
+let promotion_under_load () =
+  let server = Server.create ~shards:1 ~fuel:64 () in
+  let shape = { Workload.n = 4; f = 1; d = 1; recover = false } in
+  let rng = Runtime.Rng.create 5 in
+  let next = ref 0 in
+  let submit () =
+    Server.submit server (Workload.job ~rng ~id:!next shape);
+    incr next
+  in
+  for _ = 1 to 1000 do submit () done;
+  let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
+  let before = promoted () in
+  let decided = ref 0 in
+  while !decided < 3000 do
+    let outcomes = Server.pump server in
+    decided := !decided + List.length outcomes;
+    List.iter (fun _ -> submit ()) outcomes
+  done;
+  let per_decision = (promoted () -. before) /. float_of_int !decided in
+  Alcotest.(check int) "1,000 still in flight" 1000 (Server.inflight server);
+  ignore (Server.drain server);
+  if per_decision > 4000. then
+    Alcotest.failf
+      "%.0f promoted words per decision at 1,000 in flight (ratchet: 4,000)"
+      per_decision
+
+(* Admission: a shard runs at most two started jobs, starts the rest
+   in submission order as slots free, and a job's execution does not
+   depend on when it started. *)
+let admission () =
+  let light = { Workload.n = 4; f = 1; d = 1; recover = false } in
+  let heavy = { Workload.n = 6; f = 1; d = 2; recover = false } in
+  let alone (j : Server.job) =
+    let s = Server.create ~shards:1 ~fuel:64 () in
+    Server.submit s j;
+    match Server.drain s with
+    | [ o ] -> o
+    | _ -> Alcotest.fail "expected one outcome"
+  in
+  let same_as_alone (o : Server.outcome) =
+    let a = alone o.Server.job in
+    let id = o.Server.job.Server.id in
+    Alcotest.(check int) (Printf.sprintf "%d: t_end" id) a.Server.t_end
+      o.Server.t_end;
+    Alcotest.(check int) (Printf.sprintf "%d: steps" id) a.Server.steps
+      o.Server.steps;
+    Alcotest.(check (list int)) (Printf.sprintf "%d: deciders" id)
+      (List.map fst a.Server.outputs) (List.map fst o.Server.outputs);
+    Alcotest.(check bool) (Printf.sprintf "%d: outputs" id) true
+      (List.for_all2
+         (fun (_, h) (_, h') -> Polytope.equal h h')
+         a.Server.outputs o.Server.outputs)
+  in
+  let shard_rows server =
+    match Codec.Json.member "shard" ((Server.admin_source server).Admin.statusz ()) with
+    | Some (Codec.Json.List rows) ->
+      List.map
+        (fun row ->
+           match (Codec.Json.member "live" row, Codec.Json.member "queued" row) with
+           | Some (Codec.Json.Int live), Some (Codec.Json.Int queued) ->
+             (live, queued)
+           | _ -> Alcotest.fail "shard row lacks live/queued")
+        rows
+    | _ -> Alcotest.fail "statusz.shard must be a list"
+  in
+  (* pump to empty, checking the rows after every pump *)
+  let drain_checked server =
+    let acc = ref [] in
+    while Server.inflight server > 0 do
+      acc := List.rev_append (Server.pump server) !acc;
+      let rows = shard_rows server in
+      List.iter
+        (fun (live, _) ->
+           if live > 2 then Alcotest.failf "%d started on one shard" live)
+        rows;
+      Alcotest.(check int) "live + queued = inflight" (Server.inflight server)
+        (List.fold_left (fun acc (l, q) -> acc + l + q) 0 rows)
+    done;
+    List.rev !acc
+  in
+  (* One shard: a heavy job first, then light ones that need fewer
+     deliveries together than it does alone. *)
+  let server = Server.create ~shards:1 ~fuel:64 () in
+  let jobs =
+    job heavy ~id:0 ~seed:500
+    :: List.init 3 (fun k -> job light ~id:(k + 1) ~seed:(501 + k))
+  in
+  List.iter (Server.submit server) jobs;
+  Alcotest.(check (list (pair int int))) "nothing starts before a pump"
+    [ (0, 4) ] (shard_rows server);
+  let outcomes = drain_checked server in
+  let steps id =
+    (List.find (fun (o : Server.outcome) -> o.Server.job.Server.id = id)
+       outcomes).Server.steps
+  in
+  Alcotest.(check bool) "heavy job outweighs the rest" true
+    (steps 0 > steps 1 + steps 2 + steps 3);
+  Alcotest.(check (list int)) "light jobs pass the heavy one, in order"
+    [ 1; 2; 3; 0 ]
+    (List.map (fun (o : Server.outcome) -> o.Server.job.Server.id) outcomes);
+  List.iter same_as_alone outcomes;
+  (* Two shards, the daemon's mix, 16 at once. *)
+  let server = Server.create ~shards:2 ~fuel:16 () in
+  List.iteri
+    (fun id shape -> Server.submit server (job shape ~id ~seed:(600 + id)))
+    (List.concat [ Workload.default_mix; Workload.default_mix;
+                   Workload.default_mix; [ light ] ]);
+  let outcomes = drain_checked server in
+  Alcotest.(check int) "all decided" 16 (List.length outcomes);
+  List.iter same_as_alone outcomes;
+  (* An input outside the job's bounds is refused at submit, not when
+     a later pump would build the instance. *)
+  let bad = job light ~id:99 ~seed:700 in
+  let inputs = Array.copy bad.Server.inputs in
+  inputs.(0) <- Vec.of_ints [ 2 ];
+  (match Server.submit server { bad with Server.inputs } with
+   | () -> Alcotest.fail "out-of-bounds input accepted"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing queued" 0 (Server.inflight server)
+
 let suite =
   [ ( "serve",
       [ Alcotest.test_case "protocol msg codec roundtrip" `Quick msg_roundtrip;
@@ -574,4 +733,8 @@ let suite =
         Alcotest.test_case "hostile counts are Malformed" `Quick
           hostile_frames;
         Alcotest.test_case "delivery allocation ratchet" `Quick
-          delivery_allocation ] ) ]
+          delivery_allocation;
+        Alcotest.test_case "promotion under load ratchet" `Quick
+          promotion_under_load;
+        Alcotest.test_case "admission: two started per shard, FIFO" `Slow
+          admission ] ) ]
