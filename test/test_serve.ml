@@ -712,6 +712,90 @@ let admission () =
    | exception Invalid_argument _ -> ());
   Alcotest.(check int) "nothing queued" 0 (Server.inflight server)
 
+(* The daemon's bytes, pinned: [default_mix] jobs through the server,
+   digested outcome by outcome (id, t_end, steps, recovered set,
+   decisions) in id order, plus, with a [wal_dir], every file the
+   daemon wrote, in sorted path order. A change to how served instances
+   deliver, crash, recover or log shows up as a different digest. *)
+let corpus_jobs count ~seed =
+  let rng = Runtime.Rng.create seed in
+  let mix = Array.of_list Workload.default_mix in
+  List.init count (fun id ->
+      Workload.job ~rng ~id mix.(id mod Array.length mix))
+
+(* Keep [in_flight] jobs submitted until every job has decided. *)
+let serve_corpus ?wal_dir ~shards ~in_flight jobs =
+  let server = Server.create ~shards ~fuel:16 ?wal_dir () in
+  let waiting = ref jobs in
+  let rec top_up () =
+    match !waiting with
+    | j :: rest when Server.inflight server < in_flight ->
+      Server.submit server j;
+      waiting := rest;
+      top_up ()
+    | _ -> ()
+  in
+  let outcomes = ref [] in
+  top_up ();
+  while Server.inflight server > 0 do
+    outcomes := List.rev_append (Server.pump server) !outcomes;
+    top_up ()
+  done;
+  List.sort
+    (fun (a : Server.outcome) (b : Server.outcome) ->
+       compare a.Server.job.Server.id b.Server.job.Server.id)
+    !outcomes
+
+let outcome_bytes b (o : Server.outcome) =
+  Printf.bprintf b "id=%d t_end=%d steps=%d recovered=[%s]\n"
+    o.Server.job.Server.id o.Server.t_end o.Server.steps
+    (String.concat "," (List.map string_of_int o.Server.recovered));
+  List.iter
+    (fun (i, h) -> Printf.bprintf b "%d: %s\n" i (Polytope.to_string h))
+    o.Server.outputs
+
+let rec files_under dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.concat_map (fun name ->
+      let path = Filename.concat dir name in
+      if Sys.is_directory path then
+        List.map (Filename.concat name) (files_under path)
+      else [ name ])
+
+let digest_corpus ?wal_dir outcomes =
+  let b = Buffer.create 65536 in
+  List.iter (outcome_bytes b) outcomes;
+  Option.iter
+    (fun dir ->
+       List.iter
+         (fun rel ->
+            Printf.bprintf b "== %s\n%s" rel
+              (In_channel.with_open_bin (Filename.concat dir rel)
+                 In_channel.input_all))
+         (List.sort compare (files_under dir)))
+    wal_dir;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_corpus () =
+  let jobs = corpus_jobs 40 ~seed:31 in
+  List.iter
+    (fun shards ->
+       Alcotest.(check string)
+         (Printf.sprintf "40 jobs, 16 in flight, %d shard(s)" shards)
+         "588f68a432b3d76556a42d06cad30971"
+         (digest_corpus (serve_corpus ~shards ~in_flight:16 jobs)))
+    [ 1; 2 ];
+  (* The WAL leg is fsync-bound: one job per default_mix shape. *)
+  let wal_dir = Filename.temp_file "chc_serve_pinned" "" in
+  Sys.remove wal_dir;
+  Fun.protect ~finally:(fun () -> rm_rf wal_dir) @@ fun () ->
+  let outcomes =
+    serve_corpus ~wal_dir ~shards:2 ~in_flight:16 (corpus_jobs 5 ~seed:32)
+  in
+  Alcotest.(check string) "5 jobs with a wal_dir"
+    "8958b1292cc4c1e3be61e7b6b19e7f0d"
+    (digest_corpus ~wal_dir outcomes)
+
 let suite =
   [ ( "serve",
       [ Alcotest.test_case "protocol msg codec roundtrip" `Quick msg_roundtrip;
@@ -737,4 +821,5 @@ let suite =
         Alcotest.test_case "promotion under load ratchet" `Quick
           promotion_under_load;
         Alcotest.test_case "admission: two started per shard, FIFO" `Slow
-          admission ] ) ]
+          admission;
+        Alcotest.test_case "pinned corpus" `Slow pinned_corpus ] ) ]
