@@ -1,7 +1,7 @@
 (* chc_serve — the sharded multi-instance consensus daemon.
 
    One daemon multiplexes thousands of concurrent Algorithm CC
-   instances, each over its own deterministic FIFO loopback, sharded
+   instances, each over its own simulator in global send order, sharded
    across domains by the parallel pool (see lib/serve).
 
    Examples:

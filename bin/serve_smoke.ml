@@ -323,7 +323,7 @@ let socket_leg daemon_exe =
   let send = send sock in
   (* the daemon must answer every submission with a Decision, and the
      decided polytope must equal an in-process execution of the same
-     instance (both sides are deterministic FIFO loopbacks) *)
+     instance (both sides run it under the deterministic fifo schedule) *)
   let dec = Frame.decoder () in
   let got = Hashtbl.create total in
   let read_responses k =

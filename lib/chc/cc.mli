@@ -95,6 +95,27 @@ val execute :
     @raise Invalid_argument on malformed inputs (wrong count,
     dimension, or out-of-range coordinates). *)
 
+val system :
+  ?trace:Obs.Trace.t ->
+  ?prefix:(int * int) list ->
+  io:(Instance.msg Runtime.Transport.ep -> Instance.io) ->
+  kickoff:(Instance.t -> Instance.effect list) ->
+  crash:Runtime.Crash.plan array ->
+  scheduler:Runtime.Scheduler.t ->
+  seed:int ->
+  Instance.t array ->
+  Instance.msg Runtime.Sim.t
+(** The n-instance system over {!Runtime.Sim}, one process per
+    instance (process [i] is [insts.(i)]), not yet started. A process
+    interprets its effects through one io, built by [io] from its
+    endpoint on its first effects. [kickoff inst] is what it does at
+    start ({!Instance.start} for a fresh execution, {!Instance.restore}
+    for one reloaded from disk). Crash and recovery hooks go to
+    {!Instance.crash} and {!Instance.recover}. [trace], [prefix],
+    [crash], [scheduler] and [seed] are {!Runtime.Sim.create}'s.
+    {!execute} runs this system to quiescence; the serving daemon pumps
+    it with {!Runtime.Sim.step} under {!Runtime.Scheduler.fifo}. *)
+
 val fault_set : Runtime.Crash.plan array -> int list
 (** Indices with a non-[Never] plan — the model's faulty set [F]
     (faulty processes have incorrect inputs and may crash). *)

@@ -5,9 +5,9 @@
     inputs ({!start}, {!handle}, {!crash}, {!recover}) and produces an
     {!effect} list describing what must happen in the world — sends,
     trace events, WAL appends, write barriers. The same instance
-    therefore runs unchanged under {!Runtime.Sim} (via {!Cc.execute}),
-    under {!Runtime.Loopback} in the serving daemon, and under plain
-    unit tests with a recording interpreter.
+    therefore runs unchanged over {!Runtime.Sim}, wired by {!Cc.system}
+    for the executor and the serving daemon alike, and under plain unit
+    tests with a recording interpreter.
 
     {b The effect contract.} Effects must be interpreted strictly in
     order, exactly once, via {!interpret} (which also resolves the two
@@ -26,8 +26,9 @@
     Determinism: an instance's behaviour is a pure function of
     ({!spec}, [me], [input], the sequence of calls, and the interpreted
     send outcomes). {!Cc.execute} composes [n] instances with [Sim]
-    and is byte-identical to the pre-split implementation — the
-    differential test in [test/test_transport.ml] pins that. *)
+    and is byte-identical to the pre-split implementation; the digest
+    corpora in [test/test_polytope.ml] (executor) and
+    [test/test_serve.ml] (daemon) pin that. *)
 
 type pid = Runtime.Transport.pid
 

@@ -57,10 +57,11 @@ let pick_lifo ~rng:_ ~step:_ ~candidates =
 
 (* Global send order: always deliver the oldest in-flight message.
    Sequence numbers are allocated from one system-wide counter, so the
-   minimum head seq is the earliest undelivered send — the schedule a
-   plain FIFO event loop (e.g. {!Loopback}) produces.  Not an
-   adversary; exists so Sim can be pinned to the loopback schedule for
-   conformance differentials. *)
+   minimum head seq is the earliest undelivered send.  Not an
+   adversary: it is the daemon's schedule.  Sim serves [fifo] from one
+   global queue and never calls this pick then; the pick is the
+   reference that queue must match, run over per-channel queues by the
+   conformance suite. *)
 let pick_fifo ~rng:_ ~step:_ ~candidates =
   let earliest =
     List.fold_left

@@ -68,9 +68,12 @@ val lifo_bias : t
 
 val fifo : t
 (** global send order: always deliver the oldest in-flight message.
-    Not an adversary — it is the schedule a plain FIFO event loop
-    (e.g. {!Loopback}) produces, registered so Sim can be pinned to it
-    for transport-conformance differentials. *)
+    Not an adversary — it is the serving daemon's schedule. {!Sim}
+    recognises this value (physically) and, with no replay prefix,
+    keeps its in-flight messages in one global queue in send order
+    instead of asking the pick; this pick stays the reference that the
+    global queue must match, and the conformance suite runs it over
+    per-channel queues as the oracle. *)
 
 val lag_sources : int list -> t
 (** messages {e from} the given processes are starved: delivered only
