@@ -79,8 +79,8 @@ let run () =
             including the report's verification geometry (correct hull,
             Hausdorff agreement, I_Z optimality) that runs after
             cc.execute returns — so it can exceed exec. Later rows
-            run the same inputs, so they can read lower where the
-            poly-arena table already holds their d=3 hull duals. *)
+            run the same inputs, and only the minkowski table carries
+            work from one row to the next. *)
          [ name;
            string_of_int causal.Obs.Causal.total_steps;
            string_of_int (Obs.Causal.max_chain_length causal);

@@ -1,20 +1,21 @@
 (* E17 — the incremental polytope engine vs the from-scratch rebuild.
 
-   PR 10's tentpole: round t+1's L-operator reuses round t's hull/facet
-   structure (arena-cached duals, warm-started beneath–beyond,
-   certified float-guided intersection) instead of rebuilding every
-   polytope from scratch. This experiment prices exactly that ablation
-   on the protocol's hardest committed shape — the n=7/f=1/d=3
-   full execution that e10 ratchets — by running the identical
-   scenario under [Poly_engine.with_mode Rebuild] and [Incremental].
+   The incremental engine builds d=3 hulls and intersections on
+   float-guided paths that exact checks certify (beneath–beyond from
+   a float seed, pair-line clipping), and a d=3 polytope carries the
+   certified dual it was built with, instead of rebuilding every
+   polytope exactly. This experiment prices exactly that ablation on
+   the protocol's hardest committed shape — the n=7/f=1/d=3 full
+   execution that e10 ratchets — by running the identical scenario
+   under [Poly_engine.with_mode Rebuild] and [Incremental].
    Rebuild is not a runtime option: it survives as the engine's test
    oracle and certification fallback, and this ablation is one of
    the places that still runs it.
 
    Methodology mirrors e16: runs are interleaved (rebuild/incremental,
    [rounds] times), COLD (memo tables flushed before every execution,
-   so the speedup measured is the engine's structure reuse plus its
-   certified fast paths, not a memo artifact), under the default
+   so the speedup measured is the engine's certified fast paths and
+   carried duals, not a memo artifact), under the default
    kernel — the same conditions as the e10 cc/full-execution-n7-d3
    entry. Each engine keeps its best wall clock.
 
@@ -81,8 +82,8 @@ let run () =
     [ [ "rebuild"; Util.f3 (reb *. 1e3); "1.00" ];
       [ "incremental"; Util.f3 (inc *. 1e3); Printf.sprintf "%.2f" speedup ] ];
   (* Engine telemetry for the run log: the chc_poly_* counters say how
-     the incremental wins were realized (float-certified hulls, warm
-     starts, arena hits) and that nothing fell back. *)
+     the incremental wins were realized (float-certified hulls and
+     intersections) and that nothing fell back. *)
   let counters =
     List.filter_map
       (fun s ->

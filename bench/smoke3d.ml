@@ -68,17 +68,14 @@ let run () =
      hits=%d fallbacks=%d)\n"
     (String.length exact_tr) hits fallbacks;
   (* Engine equivalence: the incremental engine's certified fast paths
-     and structure reuse must be observationally invisible — executor
-     reports and traces byte-identical to the rebuild oracle. *)
+     must be observationally invisible — executor reports and traces
+     byte-identical to the rebuild oracle. *)
   let run_engine mode =
     Parallel.Memo.with_bypass (fun () ->
         Geometry.Poly_engine.with_mode mode (fun () ->
-            Geometry.Poly_engine.with_handle
-              (Geometry.Poly_engine.create_handle ())
-              (fun () ->
-                 let trace = Obs.Trace.create () in
-                 let r = Executor.run ~trace spec in
-                 (r, Obs.Trace.to_jsonl trace))))
+            let trace = Obs.Trace.create () in
+            let r = Executor.run ~trace spec in
+            (r, Obs.Trace.to_jsonl trace)))
   in
   let reb, reb_tr = run_engine Geometry.Poly_engine.Rebuild in
   let inc, inc_tr = run_engine Geometry.Poly_engine.Incremental in

@@ -70,7 +70,6 @@ type t = {
   n : int;
   f : int;
   d : int;
-  engine : Geometry.Poly_engine.handle;
   t_end : int;
   round0 : round0_mode;
   table : round0_table;
@@ -123,7 +122,6 @@ let create spec ~me ~input =
     n;
     f;
     d;
-    engine = Geometry.Poly_engine.create_handle ();
     t_end = spec.t_end;
     round0 = spec.round0;
     table = spec.round0_table;
@@ -252,9 +250,6 @@ and try_advance t =
   then begin
     let y = Rounds.freeze t.rounds ~round:t.current in
     let h =
-      (* The engine handle scopes warm-start reuse: round t's hulls
-         seed round t+1's beneath-beyond restarts. *)
-      Geometry.Poly_engine.with_handle t.engine @@ fun () ->
       Obs.Prof.with_span "cc.round" (fun () ->
           let polys = List.map snd y in
           (* Per-round grid lifecycle: every hull construction in
@@ -308,10 +303,7 @@ let round0_h t pts =
     Obs.Metrics.incr round0_shared_c;
     h0
   | None ->
-    let h0 =
-      Geometry.Poly_engine.with_handle t.engine @@ fun () ->
-      round0_polytope ~dim:t.d ~f:t.f key
-    in
+    let h0 = round0_polytope ~dim:t.d ~f:t.f key in
     Obs.Metrics.incr round0_computed_c;
     (* a process replaying a lossy WAL can finish round 0 again with a
        new view; the table keeps the first n *)

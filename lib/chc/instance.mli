@@ -120,10 +120,7 @@ type t
 
 val create : spec -> me:pid -> input:Geometry.Vec.t -> t
 (** A fresh process [me] with its own input (a process never needs the
-    other inputs — that is the point of the protocol). All of the
-    instance's polytope construction runs under its own engine handle
-    ({!Geometry.Poly_engine.with_handle}), so round [t]'s hulls
-    warm-start round [t+1]'s.
+    other inputs — that is the point of the protocol).
     @raise Invalid_argument if the input is malformed for the config. *)
 
 val start : t -> effect list

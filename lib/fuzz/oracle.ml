@@ -209,10 +209,10 @@ let grade_kernel_equivalence ?trace scenario =
 
 (* Differential grading of the polytope engines: the same scenario
    executed with the from-scratch rebuild engine (the oracle) and with
-   the incremental engine under a fresh handle, memo tables bypassed
-   so neither run can serve hull structure the other cached. Any
-   difference in the decided polytopes or the termination round
-   convicts the incremental delta/warm-start machinery. *)
+   the incremental engine, memo tables bypassed so neither run can
+   serve a polytope the other built. Any difference in the decided
+   polytopes or the termination round convicts the incremental
+   engine's float-guided paths or their certification. *)
 let grade_engine_equivalence ?trace scenario =
   let rebuild =
     Parallel.Memo.with_bypass (fun () ->
@@ -222,10 +222,7 @@ let grade_engine_equivalence ?trace scenario =
   let incr =
     Parallel.Memo.with_bypass (fun () ->
         Geometry.Poly_engine.with_mode Geometry.Poly_engine.Incremental
-          (fun () ->
-             Geometry.Poly_engine.with_handle
-               (Geometry.Poly_engine.create_handle ())
-               (fun () -> Chc.Executor.run scenario)))
+          (fun () -> Chc.Executor.run scenario))
   in
   match
     decision_divergence ~tag:"engine-divergence" ~base_name:"rebuild"

@@ -369,12 +369,11 @@ let incremental_planes_3d pts0 =
      with Exit -> None)
 
 (* The engine front door for 3-d hulls: Poly_engine runs its
-   certified float-guided build (with arena caching and warm-start
-   reuse) and falls back to this module's exact beneath-beyond
-   whenever certification fails, or runs the exact path alone under
-   [with_mode Rebuild]. Either way the resulting plane set is the
-   canonical one, so downstream consumers cannot tell the paths
-   apart. *)
+   certified float-guided build and falls back to this module's exact
+   beneath-beyond whenever certification fails, or runs the exact
+   path alone under [with_mode Rebuild]. Either way the resulting
+   plane set is the canonical one, so downstream consumers cannot
+   tell the paths apart. Nothing is cached: each call builds. *)
 let dual_3d pts =
   Poly_engine.dual_3d pts ~rebuild:(fun () ->
       match incremental_planes_3d pts with

@@ -48,7 +48,7 @@ val extreme_points : Vec.t list -> Vec.t list
     else falls back to {!extreme_points_lp}. *)
 
 val extreme_points_dual : Vec.t list -> Vec.t list * Poly_engine.dual option
-(** {!extreme_points} together with the dual it looked up or built:
+(** {!extreme_points} together with the dual it built:
     [Some] for full-dimensional 3-d inputs under the incremental
     engine, over the deduped input points, so a caller can keep it
     with the vertices; [None] otherwise, including every call under
@@ -62,11 +62,11 @@ val dedupe_points : Vec.t list -> Vec.t list
     order used throughout this module and expected by {!dual_3d}. *)
 
 val dual_3d : Vec.t list -> Poly_engine.dual option
-(** Persistent dual (V-rep + integer H-rep) of the hull of a deduped,
-    sorted, full-dimensional 3-d point list, built through
-    {!Poly_engine}: the certified float-guided engine with arena and
-    warm-start reuse, falling back to this module's exact
-    beneath–beyond when certification fails. Under
+(** Dual (V-rep + integer H-rep) of the hull of a deduped, sorted,
+    full-dimensional 3-d point list, built through {!Poly_engine}:
+    the certified float-guided engine, falling back to this module's
+    exact beneath–beyond when certification fails. The result depends
+    on the point list alone. Under
     [Poly_engine.with_mode Rebuild] (the test oracle) the exact path
     runs alone. The facet set is the canonical primitive plane set
     either way. [None] when the input is lower-dimensional or the

@@ -41,17 +41,11 @@
    observationally identical to the rebuild path: executor reports and
    traces are byte-for-byte the same under either mode.
 
-   Persistence: a bounded arena (a Parallel.Memo table, so it obeys
-   the same bypass discipline as every other kernel cache) maps
-   canonical vertex lists to their dual representation — scaled
-   points, facet planes, grid scale, and the certified triangle soup.
-   A per-handle ring of recent duals seeds warm starts: when a new
-   point set contains all corners of a recent soup, beneath-beyond
-   restarts from that soup (the previous conflict region) and inserts
-   only the new points. Each protocol instance (Chc.Instance) carries
-   its own handle; WAL replay simply recomputes — every cached value
-   is a certified exact result, so replay reconstructs the same
-   polytopes whether or not the cache is warm. *)
+   The engine keeps no state between calls: a hull or an intersection
+   is a function of its input alone, so the soup a dual carries does
+   not depend on what was built before it, and WAL replay rebuilds the
+   same duals a live run built. The one thing it reads besides its
+   input is the calling domain's mode. *)
 
 module Q = Numeric.Q
 module B = Numeric.Bigint
@@ -81,23 +75,12 @@ let with_mode m f =
 
 let hull_float_c =
   Obs.Metrics.counter "chc_poly_hull_total"
-    ~help:"3-d hull builds by construction path (float-guided cold, \
-           warm-started from a cached soup, or exact fallback)"
+    ~help:"3-d hull builds by construction path (float-guided and \
+           certified, or exact fallback)"
     ~labels:[ ("path", "float") ]
-
-let hull_warm_c =
-  Obs.Metrics.counter "chc_poly_hull_total" ~labels:[ ("path", "warm") ]
 
 let hull_exact_c =
   Obs.Metrics.counter "chc_poly_hull_total" ~labels:[ ("path", "exact") ]
-
-let arena_hit_c =
-  Obs.Metrics.counter "chc_poly_arena_total"
-    ~help:"persistent dual-representation arena lookups"
-    ~labels:[ ("result", "hit") ]
-
-let arena_miss_c =
-  Obs.Metrics.counter "chc_poly_arena_total" ~labels:[ ("result", "miss") ]
 
 let fallback_hull_c =
   Obs.Metrics.counter "chc_poly_fallback_total"
@@ -167,14 +150,6 @@ let primitive_plane (a, b) =
   else
     ( Array.map (fun (q : Q.t) -> Q.of_bigint (B.div q.Q.num g)) a,
       Q.of_bigint (B.div b.Q.num g) )
-
-let verts_hash vs =
-  List.fold_left
-    (fun acc v -> ((acc * 1000003) + Vec.hash v) land max_int)
-    17 vs
-
-let verts_equal a b =
-  List.compare_lengths a b = 0 && List.for_all2 Vec.equal a b
 
 (* ------------------------------------------------------------------ *)
 (* Exact plane through p, q, r oriented so the interior point [c4]/4
@@ -536,20 +511,6 @@ let covering soup =
     if simple_cycle unpaired then Some soup.tris else None
   end
 
-
-(* Binary search for [v] in a sorted point array. *)
-let find_point (arr : Vec.t array) v =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  let found = ref (-1) in
-  while !found < 0 && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = Vec.compare v arr.(mid) in
-    if c = 0 then found := mid
-    else if c < 0 then hi := mid
-    else lo := mid + 1
-  done;
-  if !found < 0 then None else Some !found
-
 (* Greedy float seed: four points spanning a tetrahedron of
    comfortably non-zero volume. Deterministic (max with strict
    improvement, so ties resolve to the lowest index). *)
@@ -588,110 +549,46 @@ let float_seed (fp : float array array) =
     end
   end
 
-(* [hull_3d ?warm pts]: certified facet planes (and the triangle soup
+(* [hull_3d pts]: certified facet planes (and the triangle soup
    behind them) of the full-dimensional hull of [pts] — a deduped,
-   lexicographically sorted array. [warm = (wpts, wtris)] restarts
-   beneath-beyond from a previously certified soup [wtris] over
-   [wpts] (same coordinate frame): every corner of [wtris] must
-   appear in [pts], and only points outside [wpts] are inserted.
-   [None]: the input is not full-dimensional in float terms, or the
-   construction failed certification — callers fall back to the exact
-   path. *)
-let hull_3d ?warm (pts : Vec.t array) =
+   lexicographically sorted array — built by beneath-beyond from a
+   float seed tetrahedron. [None]: the input is not full-dimensional
+   in float terms, or the construction failed certification — callers
+   fall back to the exact path. *)
+let hull_3d (pts : Vec.t array) =
   let n = Array.length pts in
-  if n < 4 then None
-  else
-    match float_points pts with
-    | None -> None
-    | Some fp ->
-      (try
-         let seed_tris, skip =
-           match warm with
-           | Some ((wpts : Vec.t array), (wtris : (int * int * int) array))
-             when Array.length wtris > 0 -> begin
-               (* Map old corner indices to indices in [pts]; any miss
-                  means the warm soup does not embed — cold-start. *)
-               let map = Hashtbl.create 64 in
-               let remap i =
-                 match Hashtbl.find_opt map i with
-                 | Some j -> j
-                 | None ->
-                   (match find_point pts wpts.(i) with
-                    | Some j -> Hashtbl.add map i j; j
-                    | None -> raise Exit)
-               in
-               match
-                 Array.to_list
-                   (Array.map
-                      (fun (a, b, c) -> (remap a, remap b, remap c))
-                      wtris)
-               with
-               | mapped ->
-                 (* Interior reference: the first triangle plus any
-                    corner exactly off its plane. *)
-                 let (a0, b0, c0) = List.hd mapped in
-                 let p, q, r = pts.(a0), pts.(b0), pts.(c0) in
-                 let nrm = cross3 (Vec.sub q p) (Vec.sub r p) in
-                 if Array.for_all Q.is_zero nrm then raise Exit;
-                 let off = Vec.dot nrm p in
-                 let s =
-                   List.find_map
-                     (fun (a, b, c) ->
-                        List.find_opt
-                          (fun i -> Filter.sign_of_dot_minus nrm pts.(i) off <> 0)
-                          [ a; b; c ])
-                     mapped
-                 in
-                 (match s with
-                  | None -> raise Exit
-                  | Some s ->
-                    let c4 =
-                      Vec.add (Vec.add p q) (Vec.add r pts.(s))
-                    in
-                    let tris =
-                      List.map
-                        (fun (a, b, c) -> mk_tri_committed ~c4 pts fp a b c)
-                        mapped
-                    in
-                    let skip j = find_point wpts pts.(j) <> None in
-                    ((c4, tris), skip))
-             end
-           | _ ->
-             (match float_seed fp with
-              | None -> raise Exit
-              | Some (a, b, c, d) ->
-                let c4 =
-                  Vec.add (Vec.add pts.(a) pts.(b)) (Vec.add pts.(c) pts.(d))
-                in
-                let fc =
-                  let s = Array.make 3 0.0 in
-                  List.iter
-                    (fun i ->
-                       for k = 0 to 2 do s.(k) <- s.(k) +. fp.(i).(k) done)
-                    [ a; b; c; d ];
-                  for k = 0 to 2 do s.(k) <- s.(k) /. 4.0 done;
-                  s
-                in
-                let face = mk_tri_oriented ~c4 pts fp ~fc in
-                let tris =
-                  [ face a b c; face a b d; face a c d; face b c d ]
-                in
-                let seed j = j = a || j = b || j = c || j = d in
-                ((c4, tris), seed))
-         in
-         let (c4, tris0) = seed_tris in
-         let tris = ref tris0 in
-         for j = 0 to n - 1 do
-           if not (skip j) then tris := insert ~c4 pts fp !tris j
-         done;
-         match certify ~c4 pts !tris with
-         | None -> Obs.Metrics.incr fallback_hull_c; None
-         | Some _ as soup -> soup
-       with Abort -> Obs.Metrics.incr fallback_hull_c; None
-          | Exit -> None)
+  let seeded =
+    if n < 4 then None
+    else
+      Option.bind (float_points pts) (fun fp ->
+          Option.map (fun seed -> (fp, seed)) (float_seed fp))
+  in
+  match seeded with
+  | None -> None
+  | Some (fp, (a, b, c, d)) ->
+    (try
+       let c4 = Vec.add (Vec.add pts.(a) pts.(b)) (Vec.add pts.(c) pts.(d)) in
+       let fc =
+         let s = Array.make 3 0.0 in
+         List.iter
+           (fun i -> for k = 0 to 2 do s.(k) <- s.(k) +. fp.(i).(k) done)
+           [ a; b; c; d ];
+         for k = 0 to 2 do s.(k) <- s.(k) /. 4.0 done;
+         s
+       in
+       let face = mk_tri_oriented ~c4 pts fp ~fc in
+       let tris = ref [ face a b c; face a b d; face a c d; face b c d ] in
+       for j = 0 to n - 1 do
+         if j <> a && j <> b && j <> c && j <> d then
+           tris := insert ~c4 pts fp !tris j
+       done;
+       match certify ~c4 pts !tris with
+       | None -> Obs.Metrics.incr fallback_hull_c; None
+       | Some _ as soup -> soup
+     with Abort -> Obs.Metrics.incr fallback_hull_c; None)
 
 (* ------------------------------------------------------------------ *)
-(* The persistent dual representation and its arena. *)
+(* The dual representation. *)
 
 type dual = {
   pts : Vec.t list;             (* deduped sorted points it was built over *)
@@ -701,142 +598,23 @@ type dual = {
   shape : soup option;          (* certified soup; [None] from the exact path *)
 }
 
-(* Keyed on the unscaled canonical vertex list. The triple
-   (spts, facets, scale) is self-consistent independently of whichever
-   round grid is installed when it is reused: spts = scale·pts holds
-   forever, facets are facet planes of conv(spts), and every consumer
-   (tight scans, b/scale mapping, volume's 1/scale³) normalizes the
-   scale away. A Memo table, so differential oracles' [with_bypass]
-   covers the arena exactly like every other kernel cache. *)
-let arena : (Vec.t list, dual option) Parallel.Memo.t =
-  Parallel.Memo.create ~name:"poly-arena" ~max_size:4096
-    ~hash:verts_hash ~equal:verts_equal ()
-
-(* Engine handles: the mutable per-instance state — a ring of recent
-   duals for warm starts and the last intersection's vertex set for
-   seeding. Carried in protocol state by Chc.Instance; a domain-local
-   default serves plain library callers. *)
-type handle = {
-  ring : dual option array;
-  mutable ring_ix : int;
-  mutable last_isect : Vec.t list option;
-}
-
-let create_handle () =
-  { ring = Array.make 8 None; ring_ix = 0; last_isect = None }
-
-let handle_key : handle option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let domain_handle : handle Domain.DLS.key =
-  Domain.DLS.new_key create_handle
-
-let current_handle () =
-  match !(Domain.DLS.get handle_key) with
-  | Some h -> h
-  | None -> Domain.DLS.get domain_handle
-
-(* Runs once per protocol round, so the slot is restored by hand
-   rather than through [Fun.protect]'s closure; [raise e] in the
-   handler keeps the backtrace. *)
-let with_handle h f =
-  let slot = Domain.DLS.get handle_key in
-  let saved = !slot in
-  slot := Some h;
-  match f () with
-  | v ->
-    slot := saved;
-    v
-  | exception e ->
-    slot := saved;
-    raise e
-
-let ring_push h d =
-  h.ring.(h.ring_ix) <- Some d;
-  h.ring_ix <- (h.ring_ix + 1) mod Array.length h.ring
-
-(* Warm-start probe: the most recent ring dual with a certified soup
-   whose corner set embeds in [pts] (and is not [pts] itself — that
-   would have been an arena hit). Returns the warm payload in the new
-   scale: wpts = scale·(old pts). *)
-let probe_warm h (pts_arr : Vec.t array) (scale : B.t) =
-  let n = Array.length h.ring in
-  let rec go k =
-    if k >= n then None
-    else begin
-      let ix = (h.ring_ix - 1 - k + (2 * n)) mod n in
-      match h.ring.(ix) with
-      | Some d when d.shape <> None
-                 && not (verts_equal d.pts (Array.to_list pts_arr)) -> begin
-          match d.shape with
-          | Some soup when Array.length soup.tris > 0 ->
-            let old = Array.of_list d.pts in
-            let sq = Q.of_bigint scale in
-            let wpts = Array.map (fun v -> Vec.scale sq v) old in
-            (* Every soup corner must appear in the new point set. *)
-            let ok = ref true in
-            Array.iter
-              (fun (a, b, c) ->
-                 List.iter
-                   (fun i ->
-                      if !ok && find_point pts_arr wpts.(i) = None then
-                        ok := false)
-                   [ a; b; c ])
-              soup.tris;
-            if !ok then Some (wpts, soup.tris) else go (k + 1)
-          | _ -> go (k + 1)
-        end
-      | _ -> go (k + 1)
-    end
-  in
-  go 0
-
-(* ------------------------------------------------------------------ *)
 (* [dual_3d pts ~rebuild]: the engine's front door for 3-d hull
-   construction. [pts] is the deduped sorted unscaled vertex list;
+   construction. [pts] is the deduped sorted unscaled point list;
    [rebuild] is the caller's exact construction (scaling included),
    used verbatim under [with_mode Rebuild] and as the fallback
-   whenever the float-guided build fails certification. Otherwise the
-   result is arena-cached and pushed onto the current handle's
-   warm-start ring. *)
+   whenever the float-guided build fails certification. *)
 let dual_3d pts ~rebuild =
   if not (incremental ()) then rebuild ()
-  else begin
-    let h = current_handle () in
-    let ran = ref false in
-    let build () =
-      ran := true;
-      Obs.Prof.with_span "poly.build" @@ fun () ->
-      let spts, scale = Numeric.Grid.scale_points pts in
-      let arr = Array.of_list spts in
-      let warm = probe_warm h arr scale in
-      match hull_3d ?warm arr with
-      | Some soup ->
-        Obs.Metrics.incr
-          (match warm with Some _ -> hull_warm_c | None -> hull_float_c);
-        Some { pts; spts; facets = soup.planes; scale; shape = Some soup }
-      | None ->
-        Obs.Metrics.incr hull_exact_c;
-        rebuild ()
-    in
-    let d = Parallel.Memo.find_or_add arena pts build in
-    Obs.Metrics.incr (if !ran then arena_miss_c else arena_hit_c);
-    (match d with Some d -> ring_push h d | None -> ());
-    d
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Vertex extraction against a known facet list (same tight-rank test
-   as Hullnd.is_vertex_by_facets, duplicated to keep the dependency
-   arrow pointing from Hullnd to this module). *)
-
-let is_vertex_by_facets facets p =
-  let tight =
-    List.filter_map
-      (fun (a, b) -> if Filter.sign_of_dot_minus a p b = 0 then Some a else None)
-      facets
-  in
-  List.length tight >= 3 && Linsys.rank (Array.of_list tight) = 3
+  else
+    Obs.Prof.with_span "poly.build" @@ fun () ->
+    let spts, scale = Numeric.Grid.scale_points pts in
+    match hull_3d (Array.of_list spts) with
+    | Some soup ->
+      Obs.Metrics.incr hull_float_c;
+      Some { pts; spts; facets = soup.planes; scale; shape = Some soup }
+    | None ->
+      Obs.Metrics.incr hull_exact_c;
+      rebuild ()
 
 (* ------------------------------------------------------------------ *)
 (* Float-guided intersection vertex enumeration.
@@ -865,13 +643,13 @@ let isect_max_constraints = 160
 
 (* [vertices_3d ~ineqs]: the exact vertex set of
    P = {x : a·x <= b for all (a,b) in ineqs}, certified complete,
-   with the dual certified on the way (over every candidate point, so
-   the soup may have non-vertex corners), or [None] (empty /
+   with the dual certified on the way, or [None] (empty /
    lower-dimensional / too many constraints / certificate failure —
-   callers run the exact enumeration). The current handle's last
-   result seeds candidate vertices; seeds are only ever admitted
-   through the exact membership test, so they cannot perturb the
-   result. Nothing goes into the arena. *)
+   callers run the exact enumeration). Every candidate is solved
+   uniquely from three constraints and kept only inside all of them,
+   so it has three independent tight constraints at a feasible point:
+   a vertex by construction. The certified point set is therefore the
+   vertex list, and the dual's points are all vertices. *)
 let vertices_3d ~ineqs =
   if not (incremental ()) then None
   else begin
@@ -879,7 +657,6 @@ let vertices_3d ~ineqs =
     if m < 4 || m > isect_max_constraints then None
     else begin
       Obs.Prof.with_span "poly.isect" @@ fun () ->
-      let h = current_handle () in
       let cons = Array.of_list ineqs in
       (* Float rows, normalized so max |coefficient| = 1. *)
       let frows =
@@ -989,15 +766,7 @@ let vertices_3d ~ineqs =
           in
           go (List.rev !ts)
         in
-        let w0 = List.filter_map solve_cluster !clusters in
-        (* Seed points from the previous intersection (delta reuse):
-           admitted only through the exact membership test. *)
-        let seeds =
-          match h.last_isect with
-          | None -> []
-          | Some vs -> List.filter member vs
-        in
-        let w = dedupe_points (List.rev_append seeds w0) in
+        let w = dedupe_points (List.filter_map solve_cluster !clusters) in
         if List.length w < 4 then None
         else begin
           let sw, scale = Numeric.Grid.scale_points w in
@@ -1026,29 +795,11 @@ let vertices_3d ~ineqs =
               Obs.Metrics.incr fallback_isect_c; None
             end
             else begin
-              (* A point solved uniquely from three constraints and
-                 inside all of them has three independent tight
-                 constraints, so it is a vertex by construction. Only
-                 seeds take the tight-rank test. *)
-              let solved = Array.of_list (dedupe_points w0) in
-              let verts =
-                List.combine w sw
-                |> List.filter (fun (p, s) ->
-                    find_point solved p <> None
-                    || is_vertex_by_facets soup.planes s)
-                |> List.map fst
-              in
-              if List.length verts < 4 then begin
-                Obs.Metrics.incr fallback_isect_c; None
-              end
-              else begin
-                Obs.Metrics.incr isect_fast_c;
-                h.last_isect <- Some verts;
-                Some
-                  ( verts,
-                    { pts = w; spts = sw; facets = soup.planes; scale;
-                      shape = Some soup } )
-              end
+              Obs.Metrics.incr isect_fast_c;
+              Some
+                ( w,
+                  { pts = w; spts = sw; facets = soup.planes; scale;
+                    shape = Some soup } )
             end
         end
       end
@@ -1079,10 +830,4 @@ module Dev = struct
     | _ -> None
 
   let certify pts tris = Option.map (fun d -> d.facets) (dual_of_soup pts tris)
-
-  let hull_3d = hull_3d
-  let float_seed_exists pts =
-    match float_points pts with
-    | None -> false
-    | Some fp -> float_seed fp <> None
 end

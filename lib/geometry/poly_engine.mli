@@ -1,13 +1,15 @@
-(** Incremental round-over-round polytope engine.
+(** Certified float-guided polytope engine for d = 3.
 
-    A persistent dual polytope representation — V-rep (canonical
-    vertex list) and H-rep (primitive integer facet planes) kept in
-    sync — structurally shared across protocol rounds through a
-    process-wide arena and a per-handle warm-start ring. Round t+1's
-    hulls over slightly-changed inputs restart beneath–beyond from the
-    previous round's certified facet soup instead of rebuilding, and
-    intersection vertices are enumerated by certified float-guided
-    pair-line clipping instead of exact {% $O(m^3)$ %} triple solves.
+    A dual polytope representation — V-rep (the point set) and H-rep
+    (primitive integer facet planes) kept in sync, with the certified
+    triangle soup between them. Hulls are built by a float-guided
+    beneath–beyond pass, and intersection vertices are enumerated by
+    float-guided pair-line clipping instead of exact
+    {% $O(m^3)$ %} triple solves; both are certified exactly.
+
+    The engine is stateless: a hull or an intersection depends only
+    on its input (and on the calling domain's {!mode}), never on what
+    was built before it.
 
     {b Exactness contract.} Every fast path is a {e candidate
     generator} whose output is certified against exact integer
@@ -26,14 +28,14 @@
     identical} — the basis for the byte-identical-trace acceptance
     gate and the [Engine_equivalence] differential-fuzz oracle.
 
-    A certified {!dual} is handed back to the caller, not only to the
-    arena: {!vertices_3d} returns the dual it certified, and a d=3
-    [Polytope.t] built by the incremental engine carries the dual it
-    was built with, so its volume and containment tests read the
-    scaled points, facet planes and soup instead of certifying the
-    same hull again. {!covering} is the check that lets a volume be
-    summed over the soup's triangles. Under {!Rebuild} nothing is
-    carried, and every consumer runs its own exact path.
+    A certified {!dual} is handed back to the caller: {!vertices_3d}
+    returns the dual it certified, and every d=3 [Polytope.t] the
+    incremental engine builds carries the dual it was built with, so
+    its volume and containment tests read the scaled points, facet
+    planes and soup instead of certifying the same hull again.
+    {!covering} is the check that lets a volume be summed over the
+    soup's triangles. Under {!Rebuild} nothing is carried, and every
+    consumer runs its own exact path.
 
     The engine has one production path, {!Incremental}. {!Rebuild},
     the exact construction alone, is kept as the oracle of the
@@ -48,7 +50,7 @@ module B = Numeric.Bigint
 
 type mode =
   | Rebuild      (** exact from-scratch construction, the oracle *)
-  | Incremental  (** certified float-guided engine with arena reuse *)
+  | Incremental  (** certified float-guided engine *)
 
 val mode : unit -> mode
 (** The calling domain's {!with_mode} override; {!Incremental} outside
@@ -73,18 +75,18 @@ type dual = {
   facets : (Vec.t * Q.t) list;
       (** primitive integer planes [a·x <= b] in the scaled frame *)
   scale : B.t;
-  shape : soup option;   (** warm-start structure when engine-built *)
+  shape : soup option;
+      (** the certified soup when the engine built the dual; [None]
+          from the exact path *)
 }
 
 val dual_3d : Vec.t list -> rebuild:(unit -> dual option) -> dual option
 (** [dual_3d pts ~rebuild] builds the dual of conv(pts) (3-d,
     full-dimensional inputs). Under {!Rebuild} this is [rebuild ()]
-    verbatim; under {!Incremental} the result is arena-cached, built
-    by the certified float-guided hull (warm-started from the current
-    handle's ring when a recent dual's corners embed in [pts]), and
-    falls back to [rebuild] on certification failure. [None] means
-    the input is lower-dimensional or otherwise out of scope — the
-    caller keeps its exact handling. *)
+    verbatim; under {!Incremental} it is built by the certified
+    float-guided hull and falls back to [rebuild] on certification
+    failure. [None] means the input is lower-dimensional or otherwise
+    out of scope — the caller keeps its exact handling. *)
 
 val covering : soup -> (int * int * int) array option
 (** The soup's triangles, outward-oriented corner indices into the
@@ -99,27 +101,12 @@ val vertices_3d :
 (** [vertices_3d ~ineqs] is the exact vertex set of [{x : a·x <= b}]
     for 3-d constraint systems, enumerated by pair-line clipping and
     certified complete, with the dual of the hull it certified on the
-    way: its [pts] are every candidate point, vertices or not, and its
-    soup may have non-vertex corners. [None] when the certificate
-    fails, the system is degenerate, or the engine is in {!Rebuild}
-    mode — callers run the exact enumeration. A point solved
-    uniquely from three constraints and inside all of them is a
-    vertex by construction; the current handle's last intersection
-    result seeds further candidates, each admitted through the exact
-    membership test and kept only if its tight facets have rank 3.
-    Nothing is inserted into the arena. *)
-
-(** {1 Engine handles}
-
-    A handle carries the warm-start ring (most recent duals) and the
-    last intersection's vertices. One handle is installed per protocol
-    instance; a per-domain handle backs everything else. *)
-
-type handle
-
-val create_handle : unit -> handle
-val with_handle : handle -> (unit -> 'a) -> 'a
-(** Domain-local installation for the dynamic extent of the callback. *)
+    way. Every candidate is solved uniquely from three constraints and
+    kept only if it lies inside all of them, so it is a vertex by
+    construction: the dual's [pts] are the returned vertex list.
+    [None] when the certificate fails, the system is degenerate, or
+    the engine is in {!Rebuild} mode — callers run the exact
+    enumeration. *)
 
 (** {1 Canonical-form helpers}
 
@@ -148,9 +135,4 @@ module Dev : sig
       soup over the given (scaled, integral) points: exact facet
       planes, directed-edge pairing, full containment. [None] when any
       check fails. *)
-
-  val hull_3d : ?warm:Vec.t array * (int * int * int) array ->
-    Vec.t array -> soup option
-
-  val float_seed_exists : Vec.t array -> bool
 end

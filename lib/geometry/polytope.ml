@@ -5,8 +5,9 @@ module Filter = Numeric.Filter
    the incremental engine built it: scaled points, facet planes and
    the soup (Poly_engine.dual). It is never part of the value: [equal],
    [distinct] and the wire codec read [dim] and [verts] only, and a
-   polytope without one (d <= 2, a Minkowski sum, anything built under
-   the rebuild engine) answers every query from its vertices. *)
+   polytope without one (d <= 2, a scaled L-operator term, anything
+   built under the rebuild engine) answers every query from its
+   vertices. *)
 type t = { dim : int; verts : Vec.t list; dual : Poly_engine.dual option }
 
 let plain dim verts = { dim; verts; dual = None }
@@ -32,8 +33,9 @@ let canonicalize ~dim pts =
 (* The Minkowski table: under an adversarial (lag) scheduler several
    processes average the same polytopes in one round, and the d >= 3
    vertex-sum hull is the dearest step of the L operator. Keys are
-   canonical vertex lists, so a hit returns the value of a
-   structurally identical computation (see Parallel.Memo). *)
+   pairs of canonical vertex lists, smaller first: a ⊕ b and b ⊕ a are
+   the same set, so a hit returns the value of a structurally
+   identical computation (see Parallel.Memo). *)
 
 let verts_hash vs =
   List.fold_left
@@ -43,7 +45,7 @@ let verts_hash vs =
 let verts_equal a b =
   List.compare_lengths a b = 0 && List.for_all2 Vec.equal a b
 
-let mink_memo : (Vec.t list * Vec.t list, Vec.t list) Parallel.Memo.t =
+let mink_memo : (Vec.t list * Vec.t list, t) Parallel.Memo.t =
   Parallel.Memo.create ~name:"minkowski" ~max_size:4096
     ~hash:(fun (a, b) -> (verts_hash a * 1000003 + verts_hash b) land max_int)
     ~equal:(fun (a1, b1) (a2, b2) -> verts_equal a1 a2 && verts_equal b1 b2)
@@ -140,20 +142,23 @@ let minkowski_pair a b =
      | _ -> assert false)
   | 2 -> plain 2 (Hull2d.minkowski_sum a.verts b.verts)
   | d ->
-    let verts =
-      Parallel.Memo.find_or_add mink_memo (a.verts, b.verts)
-        (fun () ->
-           Obs.Prof.with_span "geometry.minkowski" (fun () ->
-               let sums =
-                 Obs.Prof.with_span "mink.sums" (fun () ->
-                 List.concat_map (fun u -> List.map (Vec.add u) b.verts) a.verts)
-               in
-               Obs.Prof.with_span "mink.canon" (fun () ->
-               (canonicalize ~dim:d sums).verts)))
+    let ((u, v) as key) =
+      if List.compare Vec.compare a.verts b.verts <= 0 then (a.verts, b.verts)
+      else (b.verts, a.verts)
     in
-    (* a sum keeps no dual: the lag scheduler's history holds one per
-       process per round *)
-    plain d verts
+    let sum =
+      Parallel.Memo.find_or_add mink_memo key (fun () ->
+          Obs.Prof.with_span "geometry.minkowski" (fun () ->
+              let sums =
+                Obs.Prof.with_span "mink.sums" (fun () ->
+                List.concat_map (fun x -> List.map (Vec.add x) v) u)
+              in
+              Obs.Prof.with_span "mink.canon" (fun () ->
+              canonicalize ~dim:d sums)))
+    in
+    (* the oracle carries no dual, whatever the table holds *)
+    if Poly_engine.mode () = Poly_engine.Rebuild then plain d sum.verts
+    else sum
 
 (* Terms are merged before any geometry runs. For a convex P and
    a, b >= 0, aP ⊕ bP = (a+b)P, so terms with equal polytopes collapse
@@ -311,9 +316,8 @@ let intersect polys =
        in
        let combined = Hullnd.combine hreps in
        (* Certified fast path: pair-line clipping over the constraint
-          system, seeded from the previous round's intersection.
-          Completeness is certified exactly (see Poly_engine), so a
-          [Some] here equals the brute enumeration value-for-value;
+          system. Completeness is certified exactly (see Poly_engine),
+          so a [Some] here equals the brute enumeration value-for-value;
           [None] (mode, degeneracy, certificate failure) falls through
           to the exact path. *)
        let fast =

@@ -120,8 +120,7 @@ let volume verts0 =
       (* Work on the integer grid: vol(L·P) = L³·vol(P), and every
          inner operation (facet dots, in-plane coordinates, the det3
          fan) becomes a gcd-free integer Q operation. The engine dual
-         (arena-shared with the round's extreme-point queries) supplies
-         scaled vertices and facet planes directly; only
+         supplies scaled vertices and facet planes directly; only
          lower-dimensional or aborted inputs rebuild an H-rep. *)
       match Hullnd.dual_3d (Hullnd.dedupe_points verts0) with
       | Some d ->

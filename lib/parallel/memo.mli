@@ -1,15 +1,14 @@
 (** Bounded, domain-safe memo tables for pure functions.
 
-    Two tables use this module, both on the d >= 3 geometry path:
-    [poly-arena] holds [Geometry.Poly_engine]'s hull duals and
-    [minkowski] the vertex-sum hulls of the L operator. Rounds whose
-    inputs agree and processes with equal round-0 views skip the
-    geometry before any table is asked, so what reaches a table is
-    the repeat that remains: a d=3 point set hulled again within one
-    execution, and the Minkowski pairs an adversarial (lag) scheduler
-    hands several processes in the same round. DESIGN.md
-    §2 ("two caches, one engine path") records the hit counts that
-    keep these two and retired the rest.
+    One table uses this module: [minkowski], on the d >= 3 geometry
+    path, holds the vertex-sum polytopes of the L operator. Rounds
+    whose inputs agree and processes with equal round-0 views skip the
+    geometry before any table is asked, so what reaches the table is
+    the repeat that remains: the Minkowski pairs an adversarial (lag)
+    scheduler hands several processes in the same round. DESIGN.md
+    §2 ("two caches, one engine path" and "one stateless polytope
+    engine") records the hit counts that keep it and retired the
+    rest.
 
     Caching is invisible to results: tables only ever return a value
     produced by the memoized function on a structurally equal key, so

@@ -8,9 +8,11 @@ let default_mix =
   [ { n = 4; f = 1; d = 1; recover = false };
     { n = 5; f = 1; d = 2; recover = false };
     { n = 6; f = 1; d = 2; recover = false };
-    (* 3-d instances exercise the incremental polytope engine: each
-       process builds its own engine handle, whose ring warm-starts
-       its round-over-round hulls. *)
+    (* 3-d instances reach the polytope engine through round 0's
+       intersection alone: crash-free under the daemon's fifo order,
+       every process holds the same view, so h[0] is computed once
+       and every later round merges to one L term and builds no hull.
+       Grading builds the input hull. *)
     { n = 6; f = 1; d = 3; recover = false };
     { n = 6; f = 1; d = 2; recover = true } ]
 

@@ -258,7 +258,7 @@ let test_differential_d3_campaign () =
       (fun acc s ->
          match s with
          | { Obs.Metrics.metric = "chc_poly_hull_total";
-             labels = [ ("path", ("float" | "warm")) ];
+             labels = [ ("path", "float") ];
              value = Obs.Metrics.Counter v } -> acc + v
          | _ -> acc)
       0 (Obs.Metrics.snapshot_all ())

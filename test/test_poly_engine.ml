@@ -22,13 +22,10 @@ let qt =
     (fun ppf q -> Format.pp_print_string ppf (Q.to_string q))
     Q.equal
 
-(* The rebuild leg is the oracle; the incremental leg runs under a
-   fresh handle so no warm-start state leaks across trials. *)
+(* The rebuild leg is the oracle. *)
 let rebuild f = PE.with_mode PE.Rebuild f
 
-let incremental f =
-  PE.with_mode PE.Incremental (fun () ->
-      PE.with_handle (PE.create_handle ()) f)
+let incremental f = PE.with_mode PE.Incremental f
 
 (* 1/2^200: invisible to doubles, so perturbed coordinates are
    indistinguishable from unperturbed ones in the float seed — only
@@ -252,6 +249,39 @@ let test_with_mode_scope () =
    | exception Failure _ -> ());
   Alcotest.check mode "restored on exception" PE.Incremental (PE.mode ())
 
+(* A dual depends on its point set alone. P's dual is built in one
+   fresh domain, and in another after the dual of a 6-point subset Q:
+   planes, scale, scaled points and covering triangles must agree.
+   Integer coordinates keep the scale at 1, where an engine that
+   restarted beneath-beyond from Q's soup would build P's soup from
+   it. Memo tables are bypassed, so nothing can be served twice. *)
+let history_free_prop =
+  Gen.prop ~count:100 "dual is history-free"
+    (Gen.arb_int_points ~min_size:8 ~max_size:8 3)
+    (fun pts ->
+       let p = Hullnd.dedupe_points pts in
+       let q = Hullnd.dedupe_points (List.filteri (fun i _ -> i < 6) pts) in
+       let in_fresh_domain f =
+         Domain.join (Domain.spawn (fun () -> Parallel.Memo.with_bypass f))
+       in
+       let alone = in_fresh_domain (fun () -> Hullnd.dual_3d p) in
+       let after_q =
+         in_fresh_domain (fun () ->
+             ignore (Hullnd.dual_3d q : PE.dual option);
+             Hullnd.dual_3d p)
+       in
+       let covering d = Option.bind d.PE.shape PE.covering in
+       match (alone, after_q) with
+       | None, None -> true
+       | Some a, Some b ->
+         List.equal
+           (fun x y -> PE.compare_constraint x y = 0)
+           a.PE.facets b.PE.facets
+         && Numeric.Bigint.equal a.PE.scale b.PE.scale
+         && List.equal Vec.equal a.PE.spts b.PE.spts
+         && covering a = covering b
+       | _ -> false)
+
 (* --- the carried dual ------------------------------------------------ *)
 
 (* Random d=3 point sets for the soup volume: 4-30 base points on the
@@ -460,35 +490,68 @@ let counter metric =
        | _ -> acc)
     0 (Obs.Metrics.snapshot_all ())
 
-(* Hull builds and arena lookups per graded n7-f1-d3 execution, caches
-   cleared before each. The decision is round 0's h[0], which carries
-   the dual vertices_3d certified, and the input hulls carry theirs, so
-   grading builds no hull again. The counts repeat exactly from run to
-   run; a consumer that re-derives a carried dual shows up here. *)
+(* 3-d hull builds (float and exact) of one graded execution, caches
+   cleared first. *)
+let cold_hull_builds ~label spec =
+  Parallel.Memo.clear_all ();
+  let b0 = counter "chc_poly_hull_total" in
+  let r = Chc.Executor.run spec in
+  Alcotest.(check bool) (label ^ " healthy") true
+    (r.Chc.Executor.terminated && r.Chc.Executor.valid);
+  counter "chc_poly_hull_total" - b0
+
+(* Hull builds per graded n7-f1-d3 execution. The decision is round
+   0's h[0], which carries the dual vertices_3d certified, and the
+   input hulls carry theirs, so grading builds no hull again: a
+   consumer that re-derives a carried dual shows up here (a [subset]
+   that ignores q's dual reads 4.10).
+
+   The lag half counts the builds of 36 d=3 runs where the L operator
+   sums polytopes (n = 6, 7 × random, lag:0,1, lag:2 × seeds 1-6,
+   ε = 1/10). A Minkowski sum keeps the dual it was built with, and
+   the minkowski table answers a ⊕ b and b ⊕ a alike: a sum that
+   drops its dual reads 136 here, a key that depends on the pair's
+   order 118, and this engine 106. The counts repeat exactly from run
+   to run. *)
 let test_hull_build_ratchet () =
   let config =
     Chc.Config.make ~n:7 ~f:1 ~d:3 ~eps:(Q.of_ints 1 100) ~lo:Q.zero ~hi:Q.one
   in
-  let seeds = List.init 10 (fun i -> i + 1) in
-  let builds = ref 0 and lookups = ref 0 in
-  List.iter
-    (fun seed ->
-       Parallel.Memo.clear_all ();
-       let b0 = counter "chc_poly_hull_total"
-       and l0 = counter "chc_poly_arena_total" in
-       let r = Chc.Executor.run (Chc.Executor.default_spec ~config ~seed ()) in
-       Alcotest.(check bool) (Printf.sprintf "seed %d healthy" seed) true
-         (r.Chc.Executor.terminated && r.Chc.Executor.valid);
-       builds := !builds + counter "chc_poly_hull_total" - b0;
-       lookups := !lookups + counter "chc_poly_arena_total" - l0)
-    seeds;
-  let per n = float_of_int n /. float_of_int (List.length seeds) in
-  if per !builds > 2.6 then
-    Alcotest.failf "%.2f 3-d hull builds per execution (ratchet: 2.6)"
-      (per !builds);
-  if per !lookups > 3.0 then
-    Alcotest.failf "%.2f arena lookups per execution (ratchet: 3.0)"
-      (per !lookups)
+  let seeds k = List.init k (fun i -> i + 1) in
+  let builds =
+    List.fold_left
+      (fun acc seed ->
+         acc
+         + cold_hull_builds ~label:(Printf.sprintf "seed %d" seed)
+             (Chc.Executor.default_spec ~config ~seed ()))
+      0 (seeds 10)
+  in
+  let per = float_of_int builds /. 10. in
+  if per > 2.6 then
+    Alcotest.failf "%.2f 3-d hull builds per execution (ratchet: 2.6)" per;
+  let lag_builds =
+    List.fold_left
+      (fun acc (n, sched, seed) ->
+         let config =
+           Chc.Config.make ~n ~f:1 ~d:3 ~eps:(Q.of_ints 1 10) ~lo:Q.zero
+             ~hi:Q.one
+         in
+         let scheduler = Result.get_ok (Runtime.Scheduler.of_spec sched) in
+         acc
+         + cold_hull_builds
+             ~label:(Printf.sprintf "n%d %s seed %d" n sched seed)
+             (Chc.Executor.default_spec ~config ~seed ~scheduler ()))
+      0
+      (List.concat_map
+         (fun n ->
+            List.concat_map
+              (fun sched -> List.map (fun seed -> (n, sched, seed)) (seeds 6))
+              [ "random"; "lag:0,1"; "lag:2" ])
+         [ 6; 7 ])
+  in
+  if lag_builds > 112 then
+    Alcotest.failf "%d 3-d hull builds over the 36 lag runs (ratchet: 112)"
+      lag_builds
 
 let suite =
   [ ( "poly_engine",
@@ -501,6 +564,7 @@ let suite =
       @ [ Alcotest.test_case "with_mode is scoped and domain-local" `Quick
             test_with_mode_scope;
           Gen.qtest support_prop;
+          Gen.qtest history_free_prop;
           Gen.qtest soup_volume_prop;
           Alcotest.test_case "double cover falls back to facet fans" `Quick
             test_double_cover;
