@@ -131,29 +131,22 @@ let run_graded ?trace spec =
   in
   let n = config.Config.n in
   let faulty = Cc.fault_set crash in
-  let fault_free =
-    List.filter (fun i -> not (List.mem i faulty)) (List.init n Fun.id)
-  in
-  (* A process that crashed but recovered must behave like a correct
-     (slow) process: the paper properties are graded over the
-     fault-free *and* recovered processes. The Iz / optimality checks
-     below keep the plan-based faulty set — the containment argument
-     is about which inputs the adversary controls, and a recovered
-     process's input was never adversarial. *)
+  (* The Iz / optimality checks below keep the plan-based faulty set —
+     the containment argument is about which inputs the adversary
+     controls, and a recovered process's input was never
+     adversarial. *)
   let recovered =
     List.filter (fun i -> result.Cc.recovered.(i)) (List.init n Fun.id)
   in
-  let graded = List.sort compare (fault_free @ recovered) in
+  let graded =
+    Grade.graded ~n ~faulty ~recovered:(fun i -> result.Cc.recovered.(i))
+  in
   let decision_stable = result.Cc.redecided = [] in
   let grade name f =
     if Obs.Prof.enabled () then Obs.Prof.with_span ("grade." ^ name) f
     else f ()
   in
-  let correct_inputs = List.map (fun i -> inputs.(i)) graded in
-  let correct_hull =
-    grade "hulls" @@ fun () ->
-    Polytope.of_points ~dim:config.Config.d correct_inputs
-  in
+  let correct_hull = grade "hulls" @@ fun () -> Grade.hull config inputs graded in
   let ff_outputs =
     List.filter_map (fun i -> result.Cc.outputs.(i)) graded
   in
@@ -162,33 +155,23 @@ let run_graded ?trace spec =
   let distinct_outputs = Polytope.distinct ff_outputs in
   let valid =
     grade "validity" @@ fun () ->
-    List.for_all (fun h -> Polytope.subset h correct_hull) distinct_outputs
+    Grade.first_invalid ~hull:correct_hull distinct_outputs = None
   in
   let all_hull = Polytope.of_points ~dim:config.Config.d (Array.to_list inputs) in
   let valid_all_inputs =
     grade "validity" @@ fun () ->
-    List.for_all (fun h -> Polytope.subset h all_hull) distinct_outputs
+    Grade.first_invalid ~hull:all_hull distinct_outputs = None
   in
   let agreement2 =
     grade "agreement" @@ fun () ->
-    let rec pairs acc = function
-      | [] -> acc
-      | h :: rest ->
-        let acc =
-          List.fold_left
-            (fun acc h' -> Q.max acc (Polytope.hausdorff2 h h'))
-            acc rest
-        in
-        pairs acc rest
-    in
     match ff_outputs with
     | [] | [_] -> None
-    | _ -> Some (pairs Q.zero distinct_outputs)
+    | _ -> Some (Grade.max_hausdorff2 distinct_outputs)
   in
   let agreement_ok =
     match agreement2 with
     | None -> terminated
-    | Some a2 -> Q.lt a2 (Q.square config.Config.eps)
+    | Some a2 -> Grade.agrees config a2
   in
   let iz = grade "iz" @@ fun () -> Iz.compute ~config ~faulty ~result in
   let optimal =

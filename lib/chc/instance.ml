@@ -251,18 +251,7 @@ and try_advance t =
     let y = Rounds.freeze t.rounds ~round:t.current in
     let h =
       Obs.Prof.with_span "cc.round" (fun () ->
-          let polys = List.map snd y in
-          (* Per-round grid lifecycle: every hull construction in
-             this round's average shares one denominator grid. The
-             build is deferred — rounds whose inputs all agree (the
-             L operator merges them into one term) or whose Minkowski
-             pairs the memo table serves never pay for the lcm
-             scan. *)
-          Numeric.Grid.with_round
-            (fun () ->
-               Numeric.Grid.make_scaled ~mult:(List.length polys)
-                 (List.concat_map Geometry.Polytope.vertices polys))
-            (fun () -> Geometry.Polytope.average polys))
+          Geometry.Polytope.average (List.map snd y))
     in
     t.h <- Some h;
     t.hist <- (t.current, h) :: t.hist;

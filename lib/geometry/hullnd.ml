@@ -132,37 +132,41 @@ let scr_of_plane (a : Vec.t) (b : Q.t) =
       Some { snf; sne; sbf = 0.5 *. (iv.I.lo +. iv.I.hi); sbe }
     end
 
+(* The screened sign of a·p − b for a plane image [s] and a point
+   image (pf, pe): 1 or -1 when the magnitude clears the error bound,
+   0 when the exact ladder must decide. Infinities or NaNs from
+   degenerate scalings fail the clearance comparison and give 0. *)
+let screen_sign s (pf, pe) =
+  let s0 = s.snf.(0) *. pf.(0) in
+  let s1 = s.snf.(1) *. pf.(1) in
+  let s2 = s.snf.(2) *. pf.(2) in
+  let delta = s.sbe - s.sne - pe in
+  if delta > 900 || delta < -1000 then 0
+  else begin
+    let bs = Float.ldexp s.sbf delta in
+    let d = s0 +. s1 +. s2 -. bs in
+    let m = Float.abs s0 +. Float.abs s1 +. Float.abs s2 +. Float.abs bs in
+    if Float.abs d > m *. screen_eps then (if d > 0.0 then 1 else -1) else 0
+  end
+
 (* Visible := ta·p − tb > 0. Screened when both float images exist and
-   the magnitude clears the error bound; exact otherwise. Infinities
-   or NaNs from degenerate scalings fail the clearance comparison and
-   fall through to the exact ladder. *)
+   the screen decides; exact otherwise. *)
 let tri_visible t (p : Vec.t) pscr =
-  match t.scr, pscr with
-  | Some s, Some (pf, pe) ->
-    let s0 = s.snf.(0) *. pf.(0) in
-    let s1 = s.snf.(1) *. pf.(1) in
-    let s2 = s.snf.(2) *. pf.(2) in
-    let delta = s.sbe - s.sne - pe in
-    if delta > 900 || delta < -1000 then
-      Filter.sign_of_dot_minus t.ta p t.tb > 0
-    else begin
-      let bs = Float.ldexp s.sbf delta in
-      let d = s0 +. s1 +. s2 -. bs in
-      let m = Float.abs s0 +. Float.abs s1 +. Float.abs s2 +. Float.abs bs in
-      if Float.abs d > m *. screen_eps then d > 0.0
-      else Filter.sign_of_dot_minus t.ta p t.tb > 0
-    end
-  | _ -> Filter.sign_of_dot_minus t.ta p t.tb > 0
+  let v =
+    match t.scr, pscr with
+    | Some s, Some pi -> screen_sign s pi
+    | _ -> 0
+  in
+  if v <> 0 then v > 0 else Filter.sign_of_dot_minus t.ta p t.tb > 0
 
 let cross3 = Poly_engine.cross3
 
 (* The construction runs on integer points: hull structure is
    invariant under the uniform positive scaling x ↦ L·x, so scaling by
    the lcm L of every coordinate denominator up front (through
-   Numeric.Grid, which shares the scan across a protocol round) turns
-   all the inner-loop arithmetic (cross products, visibility dot
-   products) into gcd-free integer Q operations. Facets map back as
-   (a, b) ↦ (a, b/L). *)
+   Numeric.Grid) turns all the inner-loop arithmetic (cross products,
+   visibility dot products) into gcd-free integer Q operations. Facets
+   map back as (a, b) ↦ (a, b/L). *)
 
 (* Plane through p,q,r oriented so the interior point [c4]/4 satisfies
    a·x < b; [None] if p,q,r are collinear or the interior point lies
@@ -268,11 +272,7 @@ let primitive_plane = Poly_engine.primitive_plane
    fall back to the brute-force sweep. *)
 let incremental_planes_3d pts0 =
   (* Uniform positive scaling preserves the lexicographic point order,
-     so the scaled list is still deduped and sorted. The round's grid
-     (when one is installed — Numeric.Grid.with_round) supplies the
-     lcm and per-denominator cofactors, so repeated constructions in a
-     round share one denominator scan and scale by plain
-     multiplication. *)
+     so the scaled list is still deduped and sorted. *)
   let pts, l =
     Obs.Prof.with_span "hullnd.scale" (fun () ->
         Numeric.Grid.scale_points pts0)
@@ -399,7 +399,7 @@ let facets_incremental_3d pts =
 (* Facets of a FULL-DIMENSIONAL point set in k-space. k = 3 runs the
    incremental hull above; other dimensions (and the unexpected
    degenerate 3-d corner) brute-force over k-subsets defining
-   candidate hyperplanes, fanned out over the domain pool. *)
+   candidate hyperplanes. *)
 let enumerate_facets_brute ~dim:k pts =
   Obs.Prof.with_span "hullnd.brute_facets" @@ fun () ->
   let pts = dedupe_points pts in
@@ -420,9 +420,7 @@ let enumerate_facets_brute ~dim:k pts =
          else [normalize_ineq (a, b)]
        | _ -> [] (* affinely dependent subset, or not a hyperplane *))
   in
-  dedupe_constraints
-    (Parallel.Pool.parallel_concat_map (Parallel.Pool.global ())
-       facet_of candidates)
+  dedupe_constraints (List.concat_map facet_of candidates)
 
 let enumerate_facets ~dim:k pts =
   let pts = dedupe_points pts in
@@ -533,8 +531,7 @@ let vertices h =
     end
     else
       Combin.subsets_of_size need h.ineqs
-      |> Parallel.Pool.parallel_filter_map (Parallel.Pool.global ())
-        (fun subset ->
+      |> List.filter_map (fun subset ->
            let rows = Array.of_list (eq_rows @ List.map fst subset) in
            let rhs = Array.of_list (eq_rhs @ List.map snd subset) in
            Linsys.solve_unique rows rhs)
@@ -593,43 +590,24 @@ let support_filter ~dim pts =
     end
 
 (* LP-based extreme-point pruning: one membership LP per candidate.
-   When the domain pool is sequential, confirmed-interior points are
-   dropped from the column set of subsequent tests — sound, because a
-   dropped point lies in the hull of the remaining ones — which
-   shrinks the tableaus as the scan proceeds. With a multi-domain pool
-   the tests run independently against the full complement (same
-   result: a point is extreme iff it is outside the hull of all the
-   others), fanned out across domains. *)
+   Confirmed-interior points are dropped from the column set of
+   subsequent tests — sound, because a dropped point lies in the hull
+   of the remaining ones — which shrinks the tableaus as the scan
+   proceeds. *)
 let extreme_points_lp pts =
   let pts = dedupe_points pts in
   match pts with
   | [] | [_] -> pts
   | p0 :: _ ->
-    let dim = Vec.dim p0 in
-    let pts = support_filter ~dim pts in
-    let pool = Parallel.Pool.global () in
-    if Parallel.Pool.size pool <= 1 then begin
-      let rec prune confirmed = function
-        | [] -> List.rev confirmed
-        | p :: todo ->
-          let others = List.rev_append confirmed todo in
-          if Lp.in_convex_hull others p then prune confirmed todo
-          else prune (p :: confirmed) todo
-      in
-      dedupe_points (prune [] pts)
-    end
-    else begin
-      let arr = Array.of_list pts in
-      let survivors =
-        Parallel.Pool.parallel_filter_map pool
-          (fun i ->
-             let p = arr.(i) in
-             let others = List.filteri (fun j _ -> j <> i) pts in
-             if Lp.in_convex_hull others p then None else Some p)
-          (List.init (Array.length arr) Fun.id)
-      in
-      dedupe_points survivors
-    end
+    let pts = support_filter ~dim:(Vec.dim p0) pts in
+    let rec prune confirmed = function
+      | [] -> List.rev confirmed
+      | p :: todo ->
+        let others = List.rev_append confirmed todo in
+        if Lp.in_convex_hull others p then prune confirmed todo
+        else prune (p :: confirmed) todo
+    in
+    dedupe_points (prune [] pts)
 
 (* Vertex extraction against a known facet list: a point of the input
    is a vertex iff its tight constraints span the ambient space.
@@ -681,17 +659,7 @@ let extreme_points pts = fst (extreme_points_dual pts)
 module Dev = struct
   let screen a b p =
     match scr_of_plane a b, float_image p with
-    | Some s, Some (pf, pe) ->
-      let s0 = s.snf.(0) *. pf.(0) in
-      let s1 = s.snf.(1) *. pf.(1) in
-      let s2 = s.snf.(2) *. pf.(2) in
-      let delta = s.sbe - s.sne - pe in
-      if delta > 900 || delta < -1000 then None
-      else begin
-        let bs = Float.ldexp s.sbf delta in
-        let d = s0 +. s1 +. s2 -. bs in
-        let m = Float.abs s0 +. Float.abs s1 +. Float.abs s2 +. Float.abs bs in
-        if Float.abs d > m *. screen_eps then Some (d > 0.0) else None
-      end
+    | Some s, Some pi ->
+      (match screen_sign s pi with 0 -> None | v -> Some (v > 0))
     | _ -> None
 end

@@ -7,6 +7,8 @@
     tries every complementary subset of constraints. Instances in this
     project are small (the paper's resilience bound [n >= (d+2)f+1]
     keeps point sets near a dozen), so clarity wins over asymptotics.
+    Every function runs on the calling domain, under its kernel and
+    engine modes, and depends on its arguments alone.
 
     Lower-dimensional polytopes (points, segments, flat polygons
     embedded in d-space) are fully supported: the H-representation
@@ -88,14 +90,17 @@ val facets_incremental_3d : Vec.t list -> (Vec.t * Q.t) list option
 
 val enumerate_facets_brute : dim:int -> Vec.t list -> (Vec.t * Q.t) list
 (** Brute-force facet sweep over all [dim]-subsets of the (deduplicated)
-    input — the pre-optimization reference path, parallelized over the
-    domain pool. Input must be full-dimensional in [dim]-space. *)
+    input — the pre-optimization reference path. Input must be
+    full-dimensional in [dim]-space. *)
 
 val extreme_points_lp : Vec.t list -> Vec.t list
 (** Support-filter + per-point LP pruning — the reference extreme-point
     path used for non-3-d inputs and as the oracle in tests. *)
 
-(* Testing hook for the static float visibility screen. *)
+(** Testing hook for the static float visibility screen that
+    {!facets_incremental_3d} runs: [screen a b p] is [Some v] when the
+    screen decides [v = (a·p − b > 0)] for integer [a], [b], [p], and
+    [None] when the exact predicate must. *)
 module Dev : sig
   val screen : Vec.t -> Q.t -> Vec.t -> bool option
 end

@@ -2,7 +2,7 @@
 
    The exact d=3 paths in Hullnd spend almost all their time on exact
    predicates over grid-scaled integer coordinates: a protocol round's
-   lcm grid produces ~355-bit coordinates, so every cross product and
+   vertices scale to ~355-bit coordinates, so every cross product and
    visibility dot in the beneath-beyond construction is a multi-limb
    bigint computation (microseconds each), and the brute intersection
    path solves an exact 3x3 system per constraint triple. The hull

@@ -209,18 +209,9 @@ let linear_combination terms =
       p
     | merged ->
       Obs.Metrics.incr lop_minkowski_c;
-      let scaled = List.map (fun (c, p) -> scale_poly c p) merged in
-      (* Standalone combinations share a grid across the Minkowski
-         chain: every partial sum's denominators divide the lcm of the
-         scaled vertices'. Under the executor this is a no-op — the
-         round grid is already installed. *)
-      Numeric.Grid.ensure_round
-        (fun () ->
-           Numeric.Grid.make (List.concat_map (fun p -> p.verts) scaled))
-        (fun () ->
-           match scaled with
-           | [] -> assert false
-           | first :: rest -> List.fold_left minkowski_pair first rest)
+      (match List.map (fun (c, p) -> scale_poly c p) merged with
+       | [] -> assert false
+       | first :: rest -> List.fold_left minkowski_pair first rest)
 
 (* Equal inputs are grouped with integer counts before any rational
    is built: c copies of P weigh c/k, the weight [merge_terms] would
@@ -302,14 +293,6 @@ let intersect polys =
         | verts -> Some (plain 2 verts))
      | _ ->
        Obs.Prof.with_span "geometry.intersect" @@ fun () ->
-       (* The H-representation constructions all run on the input
-          vertices, so they share a grid; the final extreme-points
-          pass sees solver-produced denominators and transparently
-          falls back to a local grid. *)
-       Numeric.Grid.ensure_round
-         (fun () ->
-            Numeric.Grid.make (List.concat_map (fun p -> p.verts) polys))
-       @@ fun () ->
        let hreps =
          Obs.Prof.with_span "isect.hreps" (fun () ->
              List.map (fun p -> Hullnd.of_points ~dim:d p.verts) polys)
@@ -342,9 +325,6 @@ let intersect polys =
 let subset_hull_region ~dim ~f pts =
   let keep = List.length pts - f in
   if keep < 1 then invalid_arg "Polytope.subset_hull_region: not enough points";
-  (* All C(|X|, f) subset hulls draw from the same input points, so
-     they share one denominator grid *)
-  Numeric.Grid.with_round (fun () -> Numeric.Grid.make pts) @@ fun () ->
   intersect
     (List.map (of_points ~dim) (Numeric.Combin.subsets_of_size keep pts))
 

@@ -11,12 +11,10 @@
    Mode resolution: a per-domain override (installed by [with_mode])
    wins, otherwise the process-wide default, which is initialized from
    [CHC_KERNEL] and adjustable via [set_default] (CLI --kernel). The
-   override is domain-local state: nested [Parallel.Pool] combinators
-   run sequentially in the submitting domain, so an override installed
-   around an execution covers all its geometry when the caller itself
-   runs inside a pool worker (the fuzz-campaign case). Work fanned out
-   to *other* pool domains from outside any worker falls back to the
-   process default — still correct, since kernels agree. *)
+   override is domain-local state, and geometry runs on the domain
+   that calls it, so an override installed around a call covers every
+   predicate the call evaluates — also when the caller is itself a job
+   on a pool worker (a fuzz trial). *)
 
 type mode = Exact | Filtered
 

@@ -6,8 +6,10 @@
     always runs the rational path and is kept as the differential
     oracle. The process default comes from [CHC_KERNEL=exact|filtered]
     (default [filtered]; an unrecognized value warns and clamps) and
-    can be overridden per call-tree with {!with_mode} (domain-local,
-    so concurrent fuzz trials on pool workers don't race). *)
+    can be overridden per call-tree with {!with_mode}. The override is
+    domain-local, so concurrent fuzz trials on pool workers don't
+    race, and it covers every predicate of the call: geometry runs on
+    the domain that calls it. *)
 
 type mode = Exact | Filtered
 

@@ -3,9 +3,9 @@
     The paper's model makes an execution a pure function of
     (config, inputs, seed, adversary), so a recorded event trace is a
     complete, replayable artifact: re-running the same spec reproduces
-    the same trace byte-for-byte, whatever the size of the parallel
-    geometry pool (the pool only accelerates pure computations; it
-    never touches scheduling). The test suite and the
+    the same trace byte-for-byte, whatever the size of the domain
+    pool (the pool runs whole jobs side by side; it never touches
+    scheduling). The test suite and the
     [chc_sim trace] subcommand rely on exactly this.
 
     Layers emit into a trace through {!emit}:

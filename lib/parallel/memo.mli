@@ -13,8 +13,8 @@
     Caching is invisible to results: tables only ever return a value
     produced by the memoized function on a structurally equal key, so
     executions stay pure functions of their inputs. Tables are
-    mutex-protected (the parallel kernel calls them from worker
-    domains) and bounded — when [max_size] entries accumulate, the
+    mutex-protected (jobs on pool workers, such as server shards and
+    fuzz trials, call them concurrently) and bounded — when [max_size] entries accumulate, the
     table is flushed wholesale (epoch eviction: cheap, and repeats
     come close together, within a round or one grading pass).
 

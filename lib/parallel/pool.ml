@@ -5,6 +5,9 @@
 
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
+(* Worker domains spawned and not yet joined, over every pool. *)
+let live = Atomic.make 0
+
 type t = {
   size : int;
   m : Mutex.t;
@@ -25,7 +28,7 @@ type stats = {
 }
 
 let create ~size =
-  if size < 1 then invalid_arg "Pool.create: size must be >= 1";
+  if size < 1 then invalid_arg "Pool.with_pool: size must be >= 1";
   { size;
     m = Mutex.create ();
     cond = Condition.create ();
@@ -70,7 +73,8 @@ let shutdown pool =
   Mutex.unlock pool.m;
   let ws = pool.workers in
   pool.workers <- [||];
-  Array.iter Domain.join ws
+  Array.iter Domain.join ws;
+  ignore (Atomic.fetch_and_add live (- Array.length ws))
 
 let ensure_spawned pool =
   Mutex.lock pool.m;
@@ -78,7 +82,7 @@ let ensure_spawned pool =
     pool.spawned <- true;
     pool.workers <-
       Array.init (pool.size - 1) (fun _ -> Domain.spawn (worker_loop pool));
-    at_exit (fun () -> shutdown pool)
+    ignore (Atomic.fetch_and_add live (pool.size - 1))
   end;
   Mutex.unlock pool.m
 
@@ -175,6 +179,10 @@ let parallel_concat_map pool f xs =
   if sequentialize pool xs then List.concat_map f xs
   else List.concat (parallel_map pool f xs)
 
+let with_pool ~size f =
+  let pool = create ~size in
+  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
 (* ------------------------------------------------------------------ *)
 (* Global pool. *)
 
@@ -205,6 +213,15 @@ let default_size () =
 let global_mutex = Mutex.create ()
 let global_pool : t option ref = ref None
 
+(* The global pool has no scope to join its workers at, so process
+   exit does. *)
+let () =
+  at_exit (fun () ->
+      Mutex.lock global_mutex;
+      let p = !global_pool in
+      Mutex.unlock global_mutex;
+      Option.iter shutdown p)
+
 let global () =
   Mutex.lock global_mutex;
   let p =
@@ -228,19 +245,26 @@ let set_global_size k =
   Mutex.unlock global_mutex;
   Option.iter shutdown old
 
-(* Surface the global pool's lifetime counters through the metrics
-   registry. Reporting must not force the pool into existence, so the
-   collector reads the ref directly instead of calling [global]. *)
+(* Surface the live-worker count and the global pool's lifetime
+   counters through the metrics registry. Reporting must not force the
+   pool into existence, so the collector reads the ref directly instead
+   of calling [global]. *)
 let () =
   Obs.Metrics.register_collector (fun () ->
       Mutex.lock global_mutex;
       let p = !global_pool in
       Mutex.unlock global_mutex;
+      let workers =
+        { Obs.Metrics.metric = "chc_pool_workers";
+          labels = [];
+          value = Obs.Metrics.Gauge (float_of_int (Atomic.get live)) }
+      in
       match p with
-      | None -> []
+      | None -> [ workers ]
       | Some p ->
         let s = stats p in
-        [ { Obs.Metrics.metric = "chc_pool_size";
+        [ workers;
+          { Obs.Metrics.metric = "chc_pool_size";
             labels = [];
             value = Obs.Metrics.Gauge (float_of_int s.pool_size) };
           { Obs.Metrics.metric = "chc_pool_tasks_total";

@@ -1,12 +1,19 @@
 (** Fixed-size domain-based work pool (OCaml 5 stdlib [Domain] only).
 
-    The pool powers the embarrassingly-parallel inner loops of the
-    exact-geometry kernel: facet enumeration, LP vertex pruning, the
-    round-0 subset intersection, and per-seed experiment sweeps.
-    Results are always merged in input (index) order, so every
-    computation is a pure function of its inputs — executions are
-    byte-identical whatever the pool size (see DESIGN.md §2,
+    The pool runs independent jobs side by side: the daemon's shards
+    ([Serve.Server]), fuzz trials ([Fuzz.Campaign]) and the experiment
+    harness's per-seed sweeps. Geometry never uses it: every hull,
+    intersection and LP runs on the domain that calls it, under that
+    domain's kernel mode (DESIGN.md §2, "geometry runs on its caller's
+    domain"). Results are always merged in input (index) order, so
+    every computation is a pure function of its inputs — executions
+    are byte-identical whatever the pool size (DESIGN.md §2,
     "Determinism").
+
+    Ownership: the code that spawns a worker domain also joins it.
+    {!with_pool} joins its workers when its callback returns or
+    raises; {!set_global_size} joins the global pool it replaces, and
+    process exit joins the last one.
 
     Sizing: the global pool reads the [CHC_DOMAINS] environment
     variable at first use; absent that it uses
@@ -22,15 +29,16 @@
 
     Nesting: a combinator invoked from inside a worker task runs
     sequentially rather than re-entering the pool, so nested data
-    parallelism (e.g. LP pruning inside a parallel facet sweep) cannot
-    deadlock the fixed-size pool. *)
+    parallelism cannot deadlock the fixed-size pool. *)
 
 type t
 
-val create : size:int -> t
-(** A pool that runs tasks on up to [size] domains ([size - 1] spawned
-    workers plus the submitting domain, which participates). Workers
-    are spawned lazily on first use and shut down via [at_exit].
+val with_pool : size:int -> (t -> 'a) -> 'a
+(** [with_pool ~size f] runs [f] with a pool that runs tasks on up to
+    [size] domains ([size - 1] workers plus the submitting domain,
+    which participates). Workers are spawned on the first batch and
+    joined when [f] returns or raises; a combinator called on the pool
+    after that runs sequentially.
     @raise Invalid_argument if [size < 1]. *)
 
 val size : t -> int
@@ -44,16 +52,14 @@ type stats = {
 val stats : t -> stats
 (** Utilization counters. Sequentialized calls (size-1 pools, nested
     combinators, singleton inputs) bypass the queue and are not
-    counted — [tasks_run] measures actual parallel dispatch. *)
+    counted — [tasks_run] measures actual parallel dispatch. The
+    metrics registry also reads the gauge [chc_pool_workers]: worker
+    domains spawned by any pool and not yet joined. *)
 
 val parse_size : string -> (int, string) result
 (** Parse a [CHC_DOMAINS]-style domain count: a positive integer,
     clamped to the 64-domain maximum. [Error] carries a human-readable
     reason naming the rejected value. *)
-
-val shutdown : t -> unit
-(** Join all workers. Subsequent combinator calls on the pool run
-    sequentially. Idempotent. *)
 
 (** {1 Combinators}
 
@@ -77,6 +83,7 @@ val global : unit -> t
 val global_size : unit -> int
 
 val set_global_size : int -> unit
-(** Replace the global pool (shutting the old one down). Used by tests
-    to compare 1-domain and multi-domain executions in-process, and by
-    [CHC_DOMAINS]-style CLI overrides. *)
+(** Replace the global pool, joining the old one's workers. Used by
+    tests to compare 1-domain and multi-domain executions in-process
+    (restoring the saved size afterwards joins what the test spawned),
+    and by [CHC_DOMAINS]-style CLI overrides. *)

@@ -89,10 +89,8 @@ let is_recover_plan = function
   | Crash.Never | Crash.After_sends _ | Crash.After_receives _ -> false
 
 let graded_set job recovered =
-  let faulty = Chc.Cc.fault_set job.crash in
-  let n = job.config.Config.n in
-  List.init n Fun.id
-  |> List.filter (fun i -> (not (List.mem i faulty)) || List.mem i recovered)
+  Chc.Grade.graded ~n:job.config.Config.n ~faulty:(Chc.Cc.fault_set job.crash)
+    ~recovered:(fun i -> List.mem i recovered)
 
 let response_of_outcome o =
   match o.outputs with
@@ -108,31 +106,18 @@ let grade o =
       (Printf.sprintf "termination: %d of %d graded processes decided"
          (List.length o.outputs) (List.length graded))
   else begin
-    let hull =
-      Polytope.of_points ~dim:config.Config.d
-        (List.map (fun i -> o.job.inputs.(i)) graded)
-    in
+    let hull = Chc.Grade.hull config o.job.inputs graded in
     (* processes that agree decide equal polytopes: grade each once *)
     let distinct = Polytope.distinct (List.map snd o.outputs) in
-    match List.find_opt (fun h -> not (Polytope.subset h hull)) distinct with
+    match Chc.Grade.first_invalid ~hull distinct with
     | Some bad ->
       let i, _ = List.find (fun (_, h) -> Polytope.equal h bad) o.outputs in
       Error
         (Printf.sprintf "validity: process %d decided outside the correct hull"
            i)
     | None ->
-      let rec pairs acc = function
-        | [] -> acc
-        | h :: rest ->
-          let acc =
-            List.fold_left
-              (fun acc h' -> Q.max acc (Polytope.hausdorff2 h h'))
-              acc rest
-          in
-          pairs acc rest
-      in
-      let a2 = pairs Q.zero distinct in
-      if Q.lt a2 (Q.square config.Config.eps) || List.length o.outputs < 2
+      if List.length o.outputs < 2
+         || Chc.Grade.agrees config (Chc.Grade.max_hausdorff2 distinct)
       then Ok ()
       else Error "agreement: pairwise Hausdorff distance at or above eps"
   end

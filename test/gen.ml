@@ -40,3 +40,10 @@ let arb_vec dim = QCheck.make ~print:Vec.to_string (gen_vec dim)
 
 let qtest = QCheck_alcotest.to_alcotest
 let prop ?(count = 200) name arb f = QCheck.Test.make ~count ~name arb f
+
+(* [joins_global_pool test] runs [test], then replaces the global pool
+   with a fresh one of the same size, which joins the worker domains
+   the test made it spawn (multi-shard servers, fuzz campaigns). *)
+let joins_global_pool test () =
+  let size = Parallel.Pool.global_size () in
+  Fun.protect ~finally:(fun () -> Parallel.Pool.set_global_size size) test

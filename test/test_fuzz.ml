@@ -300,7 +300,7 @@ let suite =
       [ Alcotest.test_case "shrink deterministic" `Quick
           test_shrink_deterministic;
         Alcotest.test_case "campaign end-to-end" `Quick
-          test_canary_campaign_end_to_end ] );
+          (Gen.joins_global_pool test_canary_campaign_end_to_end) ] );
     ( "fuzz differential",
       [ Alcotest.test_case "d=3 engine equivalence, 40 trials" `Slow
-          test_differential_d3_campaign ] ) ]
+          (Gen.joins_global_pool test_differential_d3_campaign) ] ) ]

@@ -9,4 +9,6 @@ let () =
      @ Test_optimize.suite @ Test_ablation.suite @ Test_codec.suite @ Test_combin.suite @ Test_viz.suite
      @ Test_parallel.suite @ Test_obs.suite @ Test_fuzz.suite
      @ Test_filter.suite @ Test_poly_engine.suite @ Test_grid.suite
-     @ Test_wal.suite @ Test_serve.suite @ Test_design.suite)
+     @ Test_wal.suite @ Test_serve.suite @ Test_design.suite
+     (* last: every worker domain the suites spawned has been joined *)
+     @ Test_parallel.workers_joined)

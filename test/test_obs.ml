@@ -227,19 +227,19 @@ let test_pool_parse_size () =
    | Ok _ -> Alcotest.fail "garbage accepted")
 
 let test_pool_stats () =
-  let pool = Pool.create ~size:2 in
-  let s0 = Pool.stats pool in
-  Alcotest.(check int) "fresh pool ran nothing" 0 s0.Pool.tasks_run;
-  ignore (Pool.parallel_map pool (fun x -> x + 1) [1; 2; 3; 4]);
-  let s = Pool.stats pool in
-  Alcotest.(check int) "pool size reported" 2 s.Pool.pool_size;
-  Alcotest.(check int) "four tasks dispatched" 4 s.Pool.tasks_run;
-  Alcotest.(check int) "one batch" 1 s.Pool.batches;
+  Pool.with_pool ~size:2 (fun pool ->
+      let s0 = Pool.stats pool in
+      Alcotest.(check int) "fresh pool ran nothing" 0 s0.Pool.tasks_run;
+      ignore (Pool.parallel_map pool (fun x -> x + 1) [1; 2; 3; 4]);
+      let s = Pool.stats pool in
+      Alcotest.(check int) "pool size reported" 2 s.Pool.pool_size;
+      Alcotest.(check int) "four tasks dispatched" 4 s.Pool.tasks_run;
+      Alcotest.(check int) "one batch" 1 s.Pool.batches);
   (* Size-1 pools sequentialize and bypass the queue entirely. *)
-  let seq = Pool.create ~size:1 in
-  ignore (Pool.parallel_map seq (fun x -> x + 1) [1; 2; 3]);
-  Alcotest.(check int) "sequential pool dispatches nothing" 0
-    (Pool.stats seq).Pool.tasks_run
+  Pool.with_pool ~size:1 (fun seq ->
+      ignore (Pool.parallel_map seq (fun x -> x + 1) [1; 2; 3]);
+      Alcotest.(check int) "sequential pool dispatches nothing" 0
+        (Pool.stats seq).Pool.tasks_run)
 
 (* ------------------------------------------------------------------ *)
 (* Span profiler: nesting, exception safety, balanced export. *)

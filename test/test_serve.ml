@@ -803,13 +803,13 @@ let suite =
           request_response_roundtrip;
         Alcotest.test_case "decoder survives chunking" `Quick decoder_chunking;
         Alcotest.test_case "server drain + Theorem 2 grade" `Slow
-          server_drain_and_grade;
+          (Gen.joins_global_pool server_drain_and_grade);
         Alcotest.test_case "kill-restart via scan_wal" `Slow wal_restart;
         Alcotest.test_case "request validation" `Quick request_validation;
         Alcotest.test_case "workload percentile" `Quick percentile;
         Alcotest.test_case "admin request routing" `Quick admin_routing;
         Alcotest.test_case "admin endpoints over a socket" `Slow
-          admin_over_socket;
+          (Gen.joins_global_pool admin_over_socket);
         Alcotest.test_case "healthz degradation on violation" `Quick
           healthz_degradation;
         Alcotest.test_case "grade checks distinct decisions" `Quick
@@ -821,5 +821,6 @@ let suite =
         Alcotest.test_case "promotion under load ratchet" `Quick
           promotion_under_load;
         Alcotest.test_case "admission: two started per shard, FIFO" `Slow
-          admission;
-        Alcotest.test_case "pinned corpus" `Slow pinned_corpus ] ) ]
+          (Gen.joins_global_pool admission);
+        Alcotest.test_case "pinned corpus" `Slow
+          (Gen.joins_global_pool pinned_corpus) ] ) ]
