@@ -34,11 +34,9 @@ let mk_points3 rng m =
                 Q.of_ints (Rng.int rng 2001 - 1000) 991;
                 Q.of_ints (Rng.int rng 2001 - 1000) 983])
 
-(* Run [f] with the memo tables switched off, so the entry measures
+(* Run [f] with the memo tables bypassed, so the entry measures
    algorithmic cost rather than cache hits. *)
-let nocache f () =
-  Parallel.Memo.set_enabled false;
-  Fun.protect ~finally:(fun () -> Parallel.Memo.set_enabled true) f
+let nocache f () = Parallel.Memo.with_bypass f
 
 (* The d=3 L-operator exactly as computed before this PR: scale each
    polytope, fold binary Minkowski sums, and canonicalize each

@@ -386,7 +386,7 @@ let differential_arg =
                  both arithmetic kernels — exact as the oracle vs \
                  filtered (memo caches bypassed) — and under \
                  both polytope engines — rebuild as the oracle vs \
-                 incremental with a fresh engine handle — and flag \
+                 the incremental engine, memo caches bypassed — and flag \
                  any divergence in the decided polytopes as a shrinkable \
                  counterexample; likewise any graded process whose \
                  round-0 polytope differs from the subset-hull oracle \

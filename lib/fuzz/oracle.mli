@@ -35,11 +35,11 @@ type t =
       (** differential check of the incremental polytope engine against
           the from-scratch rebuild engine
           ({!Geometry.Poly_engine.mode}): the scenario is executed
-          under both, the incremental leg under a fresh engine handle
-          and with memo tables bypassed, and any difference in the
-          decided polytopes, the termination round or the graded
-          volumes is a failure: the incremental leg reads a carried
-          dual's volume off its soup, the rebuild leg off facet fans *)
+          under both, each leg with memo tables bypassed, and any
+          difference in the decided polytopes, the termination round
+          or the graded volumes is a failure: the incremental leg
+          reads a carried dual's volume off its soup, the rebuild leg
+          off facet fans *)
   | Round0_equivalence
       (** differential check of round 0: every graded process's
           recorded [h\[0\]] (built by

@@ -42,15 +42,3 @@ let scale_points pts =
       pts
   in
   (scaled, l)
-
-(* Enclosure-cache size and evictions, the named-cache treatment Memo
-   tables get. *)
-let () =
-  Obs.Metrics.register_collector (fun () ->
-      let e_inserts, e_evictions = Q.enclosure_cache_stats () in
-      [ { Obs.Metrics.metric = "chc_cache_inserts_total";
-          labels = [ ("cache", "enclosure") ];
-          value = Obs.Metrics.Counter e_inserts };
-        { Obs.Metrics.metric = "chc_cache_evictions_total";
-          labels = [ ("cache", "enclosure") ];
-          value = Obs.Metrics.Counter e_evictions } ])

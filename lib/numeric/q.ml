@@ -3,8 +3,9 @@
    [iv] lazily caches a certified float enclosure of the value (see
    [enclosure]); [Interval.unset] marks "not yet computed". The cache
    is write-once with a deterministic value, so a concurrent double
-   computation by two domains is a benign race (both store the same
-   word-sized pointer). *)
+   computation by two domains is a benign race (each stores a pointer
+   to an equal interval). Nothing else refers to an enclosure: it
+   lives exactly as long as its rational. *)
 
 type t = {
   num : Bigint.t;
@@ -40,59 +41,6 @@ let half = of_ints 1 2
 let sign x = Bigint.sign x.num
 let is_zero x = Bigint.is_zero x.num
 
-(* ------------------------------------------------------------------ *)
-(* Enclosure-cache bounding. Long campaigns (fuzz sweeps, benches)
-   materialize millions of distinct rationals, each potentially
-   pinning a cached interval; a domain-local ring of weak slots keeps
-   the number of *live-and-cached* enclosures bounded. When a ring
-   slot is reused while its rational is still live, that rational's
-   cache is reset to [Interval.unset] (an eviction — the enclosure is
-   simply recomputed if demanded again); dead rationals vanish from
-   the weak slots for free. *)
-
-let enclosure_cache_default = 65536
-let enclosure_cache_cap = ref enclosure_cache_default
-
-type ering = { slots : t Weak.t; mutable pos : int; cap : int }
-
-type estat = { mutable inserts : int; mutable evictions : int }
-
-let estats_m = Mutex.create ()
-let estats : estat list ref = ref []
-
-let ering_make () =
-  let cap = Stdlib.max 1 !enclosure_cache_cap in
-  let st = { inserts = 0; evictions = 0 } in
-  Mutex.lock estats_m;
-  estats := st :: !estats;
-  Mutex.unlock estats_m;
-  ({ slots = Weak.create cap; pos = 0; cap }, st)
-
-let ering_key : (ering * estat) Domain.DLS.key = Domain.DLS.new_key ering_make
-
-let set_enclosure_cache_capacity n =
-  enclosure_cache_cap := Stdlib.max 1 n;
-  Domain.DLS.set ering_key (ering_make ())
-
-let enclosure_cache_stats () =
-  Mutex.lock estats_m;
-  let ss = !estats in
-  Mutex.unlock estats_m;
-  List.fold_left
-    (fun (i, e) s -> (i + s.inserts, e + s.evictions))
-    (0, 0) ss
-
-let ering_track x =
-  let ring, st = Domain.DLS.get ering_key in
-  (match Weak.get ring.slots ring.pos with
-   | Some old ->
-     old.iv <- Interval.unset;
-     st.evictions <- st.evictions + 1
-   | None -> ());
-  Weak.set ring.slots ring.pos (Some x);
-  ring.pos <- (ring.pos + 1) mod ring.cap;
-  st.inserts <- st.inserts + 1
-
 (* Certified float enclosure of the exact value, computed on first use
    and cached in [iv]. Denominators are positive by the normalization
    invariant, so the quotient enclosure uses [Interval.div_pos]. *)
@@ -108,7 +56,6 @@ let enclosure x =
           (Bigint.to_float_enclosure x.den)
     in
     x.iv <- iv;
-    ering_track x;
     iv
   end
 

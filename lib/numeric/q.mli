@@ -48,19 +48,9 @@ val compare : t -> t -> int
     only when the enclosures overlap, so the result is always exact. *)
 
 val enclosure : t -> Interval.t
-(** Certified float enclosure of the exact value (cached after the
-    first call). The true rational always lies inside the interval.
-    Cached enclosures of live rationals are bounded by a domain-local
-    eviction ring (see {!set_enclosure_cache_capacity}); an evicted
-    enclosure is transparently recomputed on the next demand. *)
-
-val set_enclosure_cache_capacity : int -> unit
-(** Resize the calling domain's enclosure-cache ring (clamped to at
-    least 1; default 65536). Intended for tests and tuning; resizing
-    resets the ring but not already-cached enclosures. *)
-
-val enclosure_cache_stats : unit -> int * int
-(** [(inserts, evictions)] across all domains since startup. *)
+(** Certified float enclosure of the exact value. The true rational
+    always lies inside the interval. The first call computes it and
+    stores it in [iv]; every later call returns that same interval. *)
 
 val hash : t -> int
 (** Hash of the canonical normalized form: [equal x y] implies

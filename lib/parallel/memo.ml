@@ -29,9 +29,6 @@ type ('a, 'b) t = {
 
 let nbuckets = 1024 (* power of two: index by [hash land (nbuckets-1)] *)
 
-let global_enabled = Atomic.make true
-let set_enabled b = Atomic.set global_enabled b
-
 (* Domain-local bypass: differential runs (filtered-vs-exact oracle)
    must not let one kernel's run serve cached values computed by the
    other — a shared hit would mask exactly the divergence the oracle
@@ -44,8 +41,6 @@ let with_bypass f =
   let saved = !slot in
   slot := true;
   Fun.protect ~finally:(fun () -> slot := saved) f
-
-let enabled () = Atomic.get global_enabled && not !(Domain.DLS.get bypass_key)
 
 (* Registry of named tables, in registration order, so reporting
    layers can enumerate every cache in the process without holding a
@@ -128,7 +123,7 @@ let insert t h k v =
   Mutex.unlock t.m
 
 let find_or_add t k f =
-  if not (enabled ()) then f ()
+  if !(Domain.DLS.get bypass_key) then f ()
   else if not (Obs.Prof.enabled ()) then begin
     let h = t.hash k land max_int in
     match lookup t h k with

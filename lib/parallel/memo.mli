@@ -18,8 +18,10 @@
     table is flushed wholesale (epoch eviction: cheap, and repeats
     come close together, within a round or one grading pass).
 
-    [set_enabled false] bypasses every table; the bench harness uses
-    it to measure algorithmic speedups separately from cache hits. *)
+    {!with_bypass} bypasses every table on the calling domain: the
+    differential oracles use it so that one run cannot read what
+    another cached, and the bench harness uses it to measure
+    algorithmic speedups separately from cache hits. *)
 
 type ('a, 'b) t
 
@@ -64,13 +66,6 @@ val clear_all : unit -> unit
     measured runs so each starts from cold caches — in particular the
     kernel-ablation sweep (E13), where a value cached under one
     arithmetic kernel must not be served to the other's run. *)
-
-val set_enabled : bool -> unit
-(** Globally enable/disable all memo tables (default: enabled). *)
-
-val enabled : unit -> bool
-(** [true] iff lookups are live in the current domain: globally
-    enabled and not inside {!with_bypass}. *)
 
 val with_bypass : (unit -> 'a) -> 'a
 (** Run a thunk with every table bypassed in the current domain (no

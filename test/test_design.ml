@@ -1,6 +1,7 @@
-(* DESIGN.md §1's module map names every module under lib/, each in
-   its own directory's entry, so the map cannot drift from the tree
-   unnoticed. *)
+(* Rules that DESIGN.md records and lib/ must keep: §1's module map
+   names every module under lib/, each in its own directory's entry,
+   so the map cannot drift from the tree unnoticed; and no lib/ module
+   keeps a weak structure (§2, "Decision: no weak enclosure ring"). *)
 
 (* The directory holding DESIGN.md and lib/: the build directory when
    dune runs the suite (both are declared dependencies of the test),
@@ -59,17 +60,33 @@ let is_ident = function
   | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' | '\'' -> true
   | _ -> false
 
-(* [word] occurs in [text] as a whole identifier. *)
-let names text word =
+(* [word] occurs in [text] with no identifier character before it
+   and, if [whole], none after it. *)
+let occurs ~whole text word =
   let n = String.length word and m = String.length text in
   let rec go i =
     i + n <= m
     && ((String.sub text i n = word
          && (i = 0 || not (is_ident text.[i - 1]))
-         && (i + n = m || not (is_ident text.[i + n])))
+         && ((not whole) || i + n = m || not (is_ident text.[i + n])))
         || go (i + 1))
   in
   go 0
+
+(* [word] occurs in [text] as a whole identifier. *)
+let names = occurs ~whole:true
+
+(* The .ml files under lib/, as (directory, file name) in sorted
+   order. *)
+let lib_sources root =
+  let lib = Filename.concat root "lib" in
+  let listing dir = Sys.readdir dir |> Array.to_list |> List.sort compare in
+  listing lib
+  |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
+  |> List.concat_map (fun dir ->
+      listing (Filename.concat lib dir)
+      |> List.filter (fun file -> Filename.check_suffix file ".ml")
+      |> List.map (fun file -> (dir, file)))
 
 let module_map_names_every_module () =
   let root = root () in
@@ -78,27 +95,46 @@ let module_map_names_every_module () =
       (In_channel.with_open_bin (Filename.concat root "DESIGN.md")
          In_channel.input_all)
   in
-  let lib = Filename.concat root "lib" in
-  let listing dir = Sys.readdir dir |> Array.to_list |> List.sort compare in
   let missing =
-    listing lib
-    |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
-    |> List.concat_map (fun dir ->
-        listing (Filename.concat lib dir)
-        |> List.filter_map (fun file ->
-            if not (Filename.check_suffix file ".ml") then None
-            else
-              let m =
-                String.capitalize_ascii (Filename.chop_suffix file ".ml")
-              in
-              match List.assoc_opt dir entries with
-              | Some text when names text m -> None
-              | Some _ | None -> Some (Printf.sprintf "lib/%s: %s" dir m)))
+    lib_sources root
+    |> List.filter_map (fun (dir, file) ->
+        let m = String.capitalize_ascii (Filename.chop_suffix file ".ml") in
+        match List.assoc_opt dir entries with
+        | Some text when names text m -> None
+        | Some _ | None -> Some (Printf.sprintf "lib/%s: %s" dir m))
   in
   Alcotest.(check (list string)) "modules missing from DESIGN's map" []
     missing
 
+(* OCaml 5.1.1's [Gc.full_major] spun forever once joined domains had
+   left weak arrays behind, and the one weak structure, an enclosure
+   ring, never evicted anything. *)
+let lib_holds_no_weak_structure () =
+  let root = root () in
+  let uses =
+    lib_sources root
+    |> List.concat_map (fun (dir, file) ->
+        let path = Printf.sprintf "lib/%s/%s" dir file in
+        let text =
+          In_channel.with_open_bin (Filename.concat root path)
+            In_channel.input_all
+        in
+        List.filter_map
+          (fun m ->
+             if occurs ~whole:false text (m ^ ".") then
+               Some (Printf.sprintf "%s uses %s." path m)
+             else None)
+          [ "Weak"; "Ephemeron" ])
+  in
+  if uses <> [] then
+    Alcotest.failf
+      "%s\nlib/ keeps no weak structure: DESIGN.md §2, \"Decision: no weak \
+       enclosure ring\""
+      (String.concat "\n" uses)
+
 let suite =
   [ ( "design",
       [ Alcotest.test_case "module map names every lib module" `Quick
-          module_map_names_every_module ] ) ]
+          module_map_names_every_module;
+        Alcotest.test_case "lib holds no weak structure" `Quick
+          lib_holds_no_weak_structure ] ) ]

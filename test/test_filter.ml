@@ -130,37 +130,19 @@ let test_adversarial_units () =
   Alcotest.(check int) "dot tiny below" (-1)
     (filtered (fun () -> Filter.sign_of_dot_minus a p (Q.add dot tiny)))
 
-(* The enclosure cache is bounded by a per-domain ring. With room for
-   only 8 enclosures, filtered predicates over hundreds of live
-   rationals keep evicting; an evicted rational recomputes its
-   enclosure on the next pass, so every answer stays exact. *)
-let test_enclosure_ring_eviction () =
-  let st = Random.State.make [| 99 |] in
-  let cases =
-    List.init 50 (fun _ -> (gen_arr 3 st, gen_arr 3 st, gen_adv st))
-  in
-  let want =
-    List.map
-      (fun (a, p, b) -> exact (fun () -> Filter.sign_of_dot_minus a p b))
-      cases
-  in
-  Fun.protect
-    ~finally:(fun () -> Q.set_enclosure_cache_capacity 65536)
-    (fun () ->
-       Q.set_enclosure_cache_capacity 8;
-       let ins0, ev0 = Q.enclosure_cache_stats () in
-       for pass = 1 to 2 do
-         List.iter2
-           (fun (a, p, b) w ->
-              Alcotest.(check int)
-                (Printf.sprintf "pass %d: sign under eviction pressure" pass)
-                w
-                (filtered (fun () -> Filter.sign_of_dot_minus a p b)))
-           cases want
-       done;
-       let ins1, ev1 = Q.enclosure_cache_stats () in
-       Alcotest.(check bool) "enclosure ring inserted" true (ins1 > ins0);
-       Alcotest.(check bool) "enclosure ring evicted" true (ev1 > ev0))
+(* An enclosure lives exactly as long as its rational: the interval
+   the first call computed is the one every later call returns, however
+   many other live rationals compute theirs in between. 70,000 is more
+   than the 65,536 slots of the eviction ring that [Q] once kept per
+   domain, which reset a rational's cache when its slot came round. *)
+let test_enclosure_stays () =
+  let x = Q.of_ints 355 113 in
+  let iv = Q.enclosure x in
+  let others = Array.init 70_000 (fun k -> Q.of_ints ((2 * k) + 1) 7919) in
+  Array.iter (fun y -> ignore (Q.enclosure y)) others;
+  Alcotest.(check bool) "the first interval, after 70,000 others" true
+    (Q.enclosure x == iv);
+  ignore (Sys.opaque_identity others)
 
 (* Transcript invariance: same scenario, both kernels, memo bypassed —
    byte-identical event streams and equal decisions. *)
@@ -253,6 +235,6 @@ let suite =
         Alcotest.test_case "kernel-equivalence oracle" `Quick
           test_oracle_kernel_equivalence ]
       @ List.map Gen.qtest props
-      @ [ Alcotest.test_case "enclosure ring eviction stays sound" `Quick
-            test_enclosure_ring_eviction ]
+      @ [ Alcotest.test_case "enclosure stays with its rational" `Quick
+            test_enclosure_stays ]
       @ List.map Gen.qtest wide_props ) ]
